@@ -12,12 +12,10 @@ from .network import (
     NodeKind,
     SPEED_OF_LIGHT_KM_S,
     build_network,
-    edge_cost,
     euclidean_distance,
     perturb,
     place_nodes,
     reset,
-    sample_quality,
 )
 from .routing import ProtocolKind, Route, dijkstra_path, most_frequent_path, next_hop
 from .simulation import (
@@ -64,12 +62,10 @@ __all__ = [
     "NodeKind",
     "SPEED_OF_LIGHT_KM_S",
     "build_network",
-    "edge_cost",
     "euclidean_distance",
     "perturb",
     "place_nodes",
     "reset",
-    "sample_quality",
     "ProtocolKind",
     "Route",
     "dijkstra_path",

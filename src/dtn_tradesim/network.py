@@ -89,13 +89,6 @@ def euclidean_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def sample_quality(rng: np.random.Generator, a: float = 3.0, b: float = 2.0) -> float:
-    """Draw one link quality from Beta(a, b); values land in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ConfigurationError(f"beta shape parameters must be > 0, got ({a}, {b})")
-    return float(rng.beta(a, b))
-
-
 def place_nodes(config: NetworkConfig, rng: np.random.Generator) -> list[Node]:
     """Place the probe, the ground station, and uniform random relays.
 
@@ -117,29 +110,16 @@ def place_nodes(config: NetworkConfig, rng: np.random.Generator) -> list[Node]:
     return nodes
 
 
-@dataclass(frozen=True)
-class LinkState:
-    """Read-only snapshot of one undirected link."""
-
-    endpoints: tuple[int, int]
-    default_distance: float
-    current_distance: float
-    default_quality: float
-    current_quality: float
-
-
 @dataclass
 class NetworkState:
     """Complete graph over the placed nodes with default and current link state.
 
-    Link attributes live in flat arrays indexed by canonical pair order
-    (i < j); ``link_index_matrix[a, b]`` maps an unordered node pair to its
-    array slot.
+    Link attributes are symmetric n x n arrays indexed by node id:
+    ``current_quality[a, b]`` is the current quality of the link between a
+    and b.  The diagonal holds no link and stays zero.
     """
 
     nodes: list[Node]
-    link_pairs: list[tuple[int, int]]
-    link_index_matrix: np.ndarray
     default_distance: np.ndarray
     current_distance: np.ndarray
     default_quality: np.ndarray
@@ -147,6 +127,12 @@ class NetworkState:
     min_coord_km: float
     probe_id: int = PROBE_ID
     ground_id: int = GROUND_ID
+    # Upper-triangle mask: selecting with it visits the links (a < b) in
+    # row-major order, the order in which link values are drawn.
+    links: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.links = np.triu(np.ones((self.node_count, self.node_count), dtype=bool), 1)
 
     @property
     def node_count(self) -> int:
@@ -154,33 +140,19 @@ class NetworkState:
 
     @property
     def link_count(self) -> int:
-        return len(self.link_pairs)
+        n = self.node_count
+        return n * (n - 1) // 2
 
     @property
     def has_relays(self) -> bool:
-        return any(n.kind is NodeKind.RELAY for n in self.nodes)
+        # build_network admits exactly one probe and one ground station.
+        return self.node_count > 2
 
-    @property
-    def direct_index(self) -> int:
-        """Array slot of the direct probe-to-ground link."""
-        return self.link_index(self.probe_id, self.ground_id)
 
-    def link_index(self, a: int, b: int) -> int:
-        if a == b:
-            raise ValueError(f"no self link on node {a}")
-        idx = int(self.link_index_matrix[a, b])
-        return idx
-
-    def link(self, a: int, b: int) -> LinkState:
-        i = self.link_index(a, b)
-        lo, hi = min(a, b), max(a, b)
-        return LinkState(
-            endpoints=(lo, hi),
-            default_distance=float(self.default_distance[i]),
-            current_distance=float(self.current_distance[i]),
-            default_quality=float(self.default_quality[i]),
-            current_quality=float(self.current_quality[i]),
-        )
+def _set_links(network: NetworkState, matrix: np.ndarray, values: np.ndarray) -> None:
+    """Write per-link values, given in draw order, to both triangles of matrix."""
+    matrix[network.links] = values
+    matrix.T[network.links] = values
 
 
 def build_network(
@@ -190,10 +162,11 @@ def build_network(
 ) -> NetworkState:
     """Assemble the complete graph: geometric distances, Beta link qualities.
 
-    Qualities are drawn in one vectorized call over canonical pair order,
-    so the same seed always yields the same network.
+    Qualities are drawn in one vectorized call over the links in row-major
+    upper-triangle order, so the same seed always yields the same network.
     """
     cfg = config if config is not None else NetworkConfig()
+    cfg.validate()
     n = len(nodes)
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got {n}")
@@ -204,28 +177,25 @@ def build_network(
         raise ConfigurationError("exactly one probe and one ground station required")
 
     by_id = sorted(nodes, key=lambda node: node.id)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = len(pairs)
-    index = np.full((n, n), -1, dtype=np.int64)
-    dist = np.empty(m, dtype=np.float64)
-    for k, (i, j) in enumerate(pairs):
-        index[i, j] = k
-        index[j, i] = k
-        dist[k] = euclidean_distance(by_id[i].position, by_id[j].position)
-    quality = rng.beta(cfg.beta_a, cfg.beta_b, size=m).astype(np.float64)
-
-    return NetworkState(
+    network = NetworkState(
         nodes=by_id,
-        link_pairs=pairs,
-        link_index_matrix=index,
-        default_distance=dist,
-        current_distance=dist.copy(),
-        default_quality=quality,
-        current_quality=quality.copy(),
+        default_distance=np.zeros((n, n)),
+        current_distance=np.zeros((n, n)),
+        default_quality=np.zeros((n, n)),
+        current_quality=np.zeros((n, n)),
         min_coord_km=cfg.min_coord_km,
         probe_id=next(node.id for node in by_id if node.kind is NodeKind.PROBE),
         ground_id=next(node.id for node in by_id if node.kind is NodeKind.GROUND),
     )
+    dist = [
+        euclidean_distance(by_id[i].position, by_id[j].position)
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    quality = rng.beta(cfg.beta_a, cfg.beta_b, size=len(dist))
+    _set_links(network, network.default_distance, np.array(dist))
+    _set_links(network, network.default_quality, quality)
+    return reset(network)
 
 
 def perturb(
@@ -235,18 +205,17 @@ def perturb(
 
     Each value is Normal(default, sigma_frac * default); qualities clamp to
     [0, 1] and distances to >= min_coord_km.  sigma_frac = 0 reproduces the
-    defaults bit for bit.  Draw order is fixed (qualities, then distances)
-    to keep runs reproducible.
+    defaults bit for bit.  Draw order is fixed (qualities, then distances,
+    each over the links in upper-triangle order) to keep runs reproducible.
     """
     if sigma_frac < 0:
         raise ConfigurationError(f"sigma_frac must be >= 0, got {sigma_frac}")
-    m = network.link_count
-    zq = rng.standard_normal(m)
-    zd = rng.standard_normal(m)
-    q = network.default_quality * (1.0 + sigma_frac * zq)
-    np.clip(q, 0.0, 1.0, out=network.current_quality)
-    d = network.default_distance * (1.0 + sigma_frac * zd)
-    np.clip(d, network.min_coord_km, None, out=network.current_distance)
+    zq, zd = rng.standard_normal((2, network.link_count))
+    # maximum/minimum clamp like np.clip, with less overhead on small arrays.
+    q = network.default_quality[network.links] * (1.0 + sigma_frac * zq)
+    _set_links(network, network.current_quality, np.minimum(np.maximum(q, 0.0), 1.0))
+    d = network.default_distance[network.links] * (1.0 + sigma_frac * zd)
+    _set_links(network, network.current_distance, np.maximum(d, network.min_coord_km))
     return network
 
 
@@ -257,25 +226,19 @@ def reset(network: NetworkState) -> NetworkState:
     return network
 
 
-def edge_cost_vector(network: NetworkState, kind: CostKind) -> np.ndarray:
-    """Per-link costs of the given kind, with the direct link penalized.
+def edge_cost_matrix(network: NetworkState, kind: CostKind) -> np.ndarray:
+    """n x n link costs of the given kind, with the direct link penalized.
 
-    The probe-to-ground link costs the sum of every other link's cost plus
-    one, which strictly exceeds the cost of any simple relay path, so
-    shortest-path routing only falls back to it when no alternative exists.
+    The probe-to-ground link costs the sum of every entry plus one, which
+    strictly exceeds the cost of any simple relay path, so shortest-path
+    routing only falls back to it when no alternative exists.
     """
     if kind is CostKind.TRANSMISSION_TIME:
-        base = network.current_distance / SPEED_OF_LIGHT_KM_S
+        costs = network.current_distance / SPEED_OF_LIGHT_KM_S
     elif kind is CostKind.QUALITY_COMPLEMENT:
-        base = 1.0 - network.current_quality
+        costs = 1.0 - network.current_quality
     else:
         raise ValueError(f"unknown cost kind: {kind!r}")
-    costs = base.copy()
-    di = network.direct_index
-    costs[di] = (base.sum() - base[di]) + 1.0
+    p, g = network.probe_id, network.ground_id
+    costs[p, g] = costs[g, p] = costs.sum() + 1.0
     return costs
-
-
-def edge_cost(network: NetworkState, a: int, b: int, kind: CostKind) -> float:
-    """Cost of the single link (a, b) under the given kind."""
-    return float(edge_cost_vector(network, kind)[network.link_index(a, b)])

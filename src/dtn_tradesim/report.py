@@ -202,14 +202,18 @@ def _node_rows(network: NetworkState) -> list[dict[str, object]]:
 
 
 def _link_rows(network: NetworkState) -> list[dict[str, object]]:
+    distance = network.default_distance.tolist()
+    quality = network.default_quality.tolist()
+    n = network.node_count
     return [
         {
             "node_a": a,
             "node_b": b,
-            "default_distance_km": float(network.default_distance[k]),
-            "default_quality": float(network.default_quality[k]),
+            "default_distance_km": distance[a][b],
+            "default_quality": quality[a][b],
         }
-        for k, (a, b) in enumerate(network.link_pairs)
+        for a in range(n)
+        for b in range(a + 1, n)
     ]
 
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import heapq
 import logging
+import math
 from collections.abc import Iterable, Sequence
 from enum import Enum
 
-from .network import CostKind, NetworkState, edge_cost_vector
+from .network import CostKind, NetworkState, edge_cost_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -30,53 +30,77 @@ PROTOCOL_COST_KIND = {
 def dijkstra_path(network: NetworkState, kind: CostKind, src: int, dst: int) -> Route:
     """Minimum-cost simple path from src to dst under the given cost kind.
 
-    Heap entries carry (cost, hop count, path), so equal-cost alternatives
-    resolve to the fewest hops and remaining ties to the lexicographically
-    smallest node sequence.  Preferring fewer hops keeps step-by-step
-    replanning loop-free even when whole neighborhoods tie at zero cost;
-    costs are non-negative, so the first time dst pops it holds the global
-    optimum.
+    Equal-cost alternatives resolve to the fewest hops and remaining ties to
+    the lexicographically smallest node sequence.  Preferring fewer hops
+    keeps step-by-step replanning loop-free even when whole neighborhoods tie
+    at zero cost.
     """
-    if src == dst:
-        raise ValueError(f"src and dst must differ, got {src}")
+    _check_endpoints(network, src, dst)
+    parent = _search(network, kind, src, dst)
+    route = [dst]
+    while route[-1] != src:
+        route.append(parent[route[-1]])
+    return tuple(reversed(route))
+
+
+def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> list[int]:
+    """Dense Dijkstra from src, stopped once dst settles; returns parent ids.
+
+    Each node carries (cost, hops, parent); labels order by cost, then hop
+    count, then the node sequence of the path they encode.  Costs are
+    non-negative, so a settled node's label is final and its cost row is
+    read exactly once.  Paths are compared through their parent chains, and
+    only when cost and hop count tie exactly.
+    """
+    costs = edge_cost_matrix(network, kind)
+    n = network.node_count
+    cost = [math.inf] * n  # settled nodes go back to inf so min() skips them
+    hops = [0] * n
+    parent = [-1] * n
+    cost[src] = 0.0
+    remaining = list(range(n))
+    u = src
+    while u != dst:
+        remaining.remove(u)
+        cu = cost[u]
+        hu = hops[u] + 1
+        cost[u] = math.inf
+        row = costs[u].tolist()
+        for v in remaining:
+            c = cu + row[v]
+            if c <= cost[v] and (
+                c < cost[v]
+                or hu < hops[v]
+                or (hu == hops[v] and _precedes(parent, u, parent[v]))
+            ):
+                cost[v] = c
+                hops[v] = hu
+                parent[v] = u
+        best = min(cost)
+        u = cost.index(best)
+        if cost.count(best) > 1:
+            for v in remaining:
+                if v != u and cost[v] == best and (
+                    hops[v] < hops[u] or (hops[v] == hops[u] and _precedes(parent, v, u))
+                ):
+                    u = v
+    return parent
+
+
+def _precedes(parent: list[int], a: int, b: int) -> bool:
+    """True if the tree path to a sorts before the equally long path to b."""
+    while parent[a] != parent[b]:
+        a = parent[a]
+        b = parent[b]
+    return a < b
+
+
+def _check_endpoints(network: NetworkState, src: int, dst: int) -> None:
     n = network.node_count
     if not (0 <= src < n and 0 <= dst < n):
-        raise ValueError(f"node ids out of range: src={src}, dst={dst}")
-    cost_row = _cost_rows(network, kind)
-
-    best: list[tuple[float, int, Route] | None] = [None] * n
-    start = (0.0, 0, (src,))
-    best[src] = start
-    heap = [start]
-    while heap:
-        entry = heapq.heappop(heap)
-        cost, hops, path = entry
-        u = path[-1]
-        if u == dst:
-            return path
-        if entry != best[u]:
-            continue  # stale entry
-        row = cost_row[u]
-        for v in range(n):
-            if v == u or v in path:
-                continue
-            candidate = (cost + row[v], hops + 1, path + (v,))
-            if best[v] is None or candidate < best[v]:
-                best[v] = candidate
-                heapq.heappush(heap, candidate)
-    raise RuntimeError(f"no path from {src} to {dst}")  # unreachable: complete graph
-
-
-def _cost_rows(network: NetworkState, kind: CostKind) -> list[list[float]]:
-    """Dense symmetric cost matrix as plain lists for fast scalar access."""
-    vec = edge_cost_vector(network, kind)
-    n = network.node_count
-    rows = [[0.0] * n for _ in range(n)]
-    for k, (i, j) in enumerate(network.link_pairs):
-        c = float(vec[k])
-        rows[i][j] = c
-        rows[j][i] = c
-    return rows
+        raise ValueError(f"node ids out of range 0..{n - 1}: {src} -> {dst}")
+    if src == dst:
+        raise ValueError(f"endpoints must differ, got {src} -> {dst}")
 
 
 def _bundle_next_hop(network: NetworkState, current: int, dst: int) -> int:
@@ -88,23 +112,19 @@ def _bundle_next_hop(network: NetworkState, current: int, dst: int) -> int:
     the probe the direct hop to the ground station is excluded whenever
     relays exist.  An empty candidate set falls back to dst.
     """
-    index = network.link_index_matrix
-    dd = network.default_distance
-    cur_d = float(dd[index[current, dst]])
-    exclude_ground = current == network.probe_id and network.has_relays
+    to_dst = network.default_distance[dst].tolist()
+    to_dst[dst] = 0.0
+    quality = network.current_quality[current].tolist()
+    cur_d = to_dst[current]
+    excluded = (
+        network.ground_id if current == network.probe_id and network.has_relays else -1
+    )
     best = -1
     best_q = -1.0
-    for v in range(network.node_count):
-        if v == current:
-            continue
-        d_v = 0.0 if v == dst else float(dd[index[v, dst]])
-        if d_v >= cur_d:
-            continue
-        if exclude_ground and v == network.ground_id:
-            continue
-        q = float(network.current_quality[index[current, v]])
-        if q > best_q:  # strict: quality ties keep the lowest node id
-            best_q = q
+    for v, d_v in enumerate(to_dst):
+        if d_v < cur_d and v != excluded and quality[v] > best_q:
+            # strict: quality ties keep the lowest node id
+            best_q = quality[v]
             best = v
     if best < 0:
         logger.warning(
@@ -121,12 +141,10 @@ def next_hop(
     network: NetworkState, protocol: ProtocolKind, current: int, dst: int
 ) -> int:
     """Single forwarding decision for one protocol under the current state."""
-    if current == dst:
-        raise ValueError(f"current and dst must differ, got {current}")
+    _check_endpoints(network, current, dst)
     if protocol is ProtocolKind.BUNDLE:
         return _bundle_next_hop(network, current, dst)
-    kind = PROTOCOL_COST_KIND[protocol]
-    return dijkstra_path(network, kind, current, dst)[1]
+    return dijkstra_path(network, PROTOCOL_COST_KIND[protocol], current, dst)[1]
 
 
 def most_frequent_path(routes: Iterable[Sequence[int]]) -> Route:

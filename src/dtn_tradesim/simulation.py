@@ -113,7 +113,6 @@ def simulate_packet(
     src = network.probe_id
     dst = network.ground_id
     copies = {p: _Copy(node=src, route=[src]) for p in PROTOCOL_ORDER}
-    index = network.link_index_matrix
 
     steps = 0
     while True:
@@ -124,15 +123,18 @@ def simulate_packet(
             raise SimulationFault(
                 f"packet {packet_index}: step budget {step_budget} exceeded "
                 f"with copies still in flight: "
-                + ", ".join(p.value for p in unfinished)
+                + "; ".join(
+                    f"{p.value} route " + "-".join(map(str, copies[p].route))
+                    for p in unfinished
+                )
             )
         perturb(network, rng, sigma_frac)
         for p in unfinished:
             copy = copies[p]
             nh = next_hop(network, p, copy.node, dst)
-            li = int(index[copy.node, nh])
-            copy.time_s += float(network.default_distance[li]) / SPEED_OF_LIGHT_KM_S
-            if not hop_outcome(rng, float(network.current_quality[li])):
+            hop = (copy.node, nh)
+            copy.time_s += float(network.default_distance[hop]) / SPEED_OF_LIGHT_KM_S
+            if not hop_outcome(rng, float(network.current_quality[hop])):
                 copy.damaged = True
             copy.route.append(nh)
             copy.node = nh

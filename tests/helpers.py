@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -14,7 +15,7 @@ from dtn_tradesim.network import (
     Node,
     NodeKind,
     build_network,
-    edge_cost_vector,
+    edge_cost_matrix,
     place_nodes,
     reset,
 )
@@ -62,11 +63,10 @@ def set_link(
     distance: float | None = None,
 ) -> None:
     """Pin a link's default (and current) quality or distance."""
-    i = network.link_index(a, b)
     if quality is not None:
-        network.default_quality[i] = quality
+        network.default_quality[a, b] = network.default_quality[b, a] = quality
     if distance is not None:
-        network.default_distance[i] = distance
+        network.default_distance[a, b] = network.default_distance[b, a] = distance
     reset(network)
 
 
@@ -74,30 +74,58 @@ def brute_force_min_cost(
     network: NetworkState, kind: CostKind, src: int, dst: int
 ) -> float:
     """Exhaustive minimum simple-path cost; independent of the router."""
-    costs = edge_cost_vector(network, kind)
-    idx = network.link_index_matrix
+    costs = edge_cost_matrix(network, kind)
     others = [v for v in range(network.node_count) if v != src and v != dst]
     best = math.inf
     for r in range(len(others) + 1):
         for mids in itertools.permutations(others, r):
             path = (src,) + mids + (dst,)
-            total = sum(
-                float(costs[idx[path[i], path[i + 1]]]) for i in range(len(path) - 1)
-            )
+            total = sum(float(costs[path[i], path[i + 1]]) for i in range(len(path) - 1))
             best = min(best, total)
     return best
 
 
 def path_cost(network: NetworkState, kind: CostKind, path) -> float:
-    costs = edge_cost_vector(network, kind)
-    idx = network.link_index_matrix
-    return sum(float(costs[idx[path[i], path[i + 1]]]) for i in range(len(path) - 1))
+    costs = edge_cost_matrix(network, kind)
+    return sum(float(costs[path[i], path[i + 1]]) for i in range(len(path) - 1))
 
 
 def distance_to(network: NetworkState, node: int, target: int) -> float:
     """Build-time geometric distance from node to target (0 for the target)."""
     if node == target:
         return 0.0
-    return float(
-        network.default_distance[network.link_index_matrix[node, target]]
-    )
+    return float(network.default_distance[node, target])
+
+
+def reference_dijkstra_path(
+    network: NetworkState, kind: CostKind, src: int, dst: int
+) -> tuple[int, ...]:
+    """Heap Dijkstra carrying whole paths: the tie-order reference.
+
+    Heap entries are (cost, hop count, path), so equal-cost alternatives
+    resolve to the fewest hops and remaining ties to the lexicographically
+    smallest node sequence; the first time dst pops it holds the optimum.
+    """
+    n = network.node_count
+    rows = edge_cost_matrix(network, kind).tolist()
+    best: list[tuple[float, int, tuple[int, ...]] | None] = [None] * n
+    start = (0.0, 0, (src,))
+    best[src] = start
+    heap = [start]
+    while heap:
+        entry = heapq.heappop(heap)
+        cost, hops, path = entry
+        u = path[-1]
+        if u == dst:
+            return path
+        if entry != best[u]:
+            continue  # stale entry
+        row = rows[u]
+        for v in range(n):
+            if v == u or v in path:
+                continue
+            candidate = (cost + row[v], hops + 1, path + (v,))
+            if best[v] is None or candidate < best[v]:
+                best[v] = candidate
+                heapq.heappush(heap, candidate)
+    raise RuntimeError(f"no path from {src} to {dst}")

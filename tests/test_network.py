@@ -14,14 +14,13 @@ from dtn_tradesim.network import (
     CostKind,
     NetworkConfig,
     NodeKind,
+    Node,
     build_network,
-    edge_cost,
-    edge_cost_vector,
+    edge_cost_matrix,
     euclidean_distance,
     perturb,
     place_nodes,
     reset,
-    sample_quality,
 )
 
 from helpers import brute_force_min_cost, build_random_network, rng, set_link
@@ -72,9 +71,10 @@ def test_network_config_range_checks():
 
 
 def test_sample_quality_moments():
-    # Beta(3, 2): mean 0.6, variance 0.04.
-    r = rng(42)
-    draws = np.array([sample_quality(r) for _ in range(100_000)])
+    # Beta(3, 2): mean 0.6, variance 0.04, over the ~100k links of one network.
+    network = build_random_network(seed=42, relay_count=450)
+    draws = network.default_quality[network.links]
+    assert draws.size > 100_000
     assert abs(draws.mean() - 0.6) < 0.005
     assert abs(draws.var(ddof=1) - 0.04) < 0.003
     assert draws.min() >= 0.0 and draws.max() <= 1.0
@@ -82,17 +82,19 @@ def test_sample_quality_moments():
 
 def test_sample_quality_uniform_special_case():
     # Beta(1, 1) must be indistinguishable from Uniform[0, 1].
-    r = rng(7)
-    draws = [sample_quality(r, 1.0, 1.0) for _ in range(20_000)]
+    network = build_random_network(seed=7, relay_count=200, beta_a=1.0, beta_b=1.0)
+    draws = network.default_quality[network.links]
+    assert draws.size > 20_000
     result = scipy_stats.kstest(draws, "uniform")
     assert result.pvalue > 0.01
 
 
 def test_sample_quality_rejects_bad_shapes():
+    nodes = place_nodes(NetworkConfig(relay_count=2), rng(0))
     with pytest.raises(ConfigurationError):
-        sample_quality(rng(0), 0.0, 2.0)
+        build_network(nodes, rng(0), NetworkConfig(beta_a=0.0))
     with pytest.raises(ConfigurationError):
-        sample_quality(rng(0), 3.0, -1.0)
+        build_network(nodes, rng(0), NetworkConfig(beta_b=-1.0))
 
 
 def test_build_network_complete_graph():
@@ -100,10 +102,10 @@ def test_build_network_complete_graph():
     n = network.node_count
     assert n == 12
     assert network.link_count == n * (n - 1) // 2
+    assert network.default_quality.shape == (n, n)
     assert np.all(network.default_quality >= 0.0)
     assert np.all(network.default_quality <= 1.0)
-    direct = network.link(network.probe_id, network.ground_id)
-    assert direct.default_distance == 1.27e9
+    assert network.default_distance[network.probe_id, network.ground_id] == 1.27e9
 
 
 def test_build_network_deterministic():
@@ -116,37 +118,60 @@ def test_build_network_deterministic():
 
 def test_link_view_symmetric():
     network = build_random_network(seed=2, relay_count=4)
-    assert network.link(2, 5) == network.link(5, 2)
+    perturb(network, rng(1), 0.3)
+    for matrix in (
+        network.default_distance,
+        network.current_distance,
+        network.default_quality,
+        network.current_quality,
+    ):
+        assert np.array_equal(matrix, matrix.T)
     for kind in CostKind:
-        assert edge_cost(network, 3, 4, kind) == edge_cost(network, 4, 3, kind)
+        costs = edge_cost_matrix(network, kind)
+        assert np.array_equal(costs, costs.T)
 
 
-def test_link_index_rejects_self_link():
+def test_no_self_links():
     network = build_random_network(seed=2, relay_count=2)
-    with pytest.raises(ValueError):
-        network.link_index(1, 1)
+    for state in (network, perturb(network, rng(1), 0.5), reset(network)):
+        assert not np.any(np.diag(state.default_distance))
+        assert not np.any(np.diag(state.current_distance))
+        assert not np.any(np.diag(state.current_quality))
+
+
+def test_link_mask_visits_pairs_in_draw_order():
+    network = build_random_network(seed=3, relay_count=3)
+    n = network.node_count
+    rows, cols = np.nonzero(network.links)
+    assert list(zip(rows, cols)) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def test_edge_cost_quality_complement():
     network = build_random_network(seed=4, relay_count=3)
     set_link(network, 2, 3, quality=0.75)
-    assert edge_cost(network, 2, 3, CostKind.QUALITY_COMPLEMENT) == pytest.approx(0.25)
+    costs = edge_cost_matrix(network, CostKind.QUALITY_COMPLEMENT)
+    assert costs[2, 3] == costs[3, 2] == pytest.approx(0.25)
 
 
 def test_edge_cost_transmission_time_is_distance_over_c():
     network = build_random_network(seed=4, relay_count=3)
     set_link(network, 2, 4, distance=SPEED_OF_LIGHT_KM_S)
-    assert edge_cost(network, 2, 4, CostKind.TRANSMISSION_TIME) == pytest.approx(1.0)
+    costs = edge_cost_matrix(network, CostKind.TRANSMISSION_TIME)
+    assert costs[2, 4] == costs[4, 2] == pytest.approx(1.0)
 
 
 def test_direct_link_penalty_value():
     network = build_random_network(seed=6, relay_count=4)
+    base = {
+        CostKind.TRANSMISSION_TIME: network.current_distance / SPEED_OF_LIGHT_KM_S,
+        CostKind.QUALITY_COMPLEMENT: 1.0 - network.current_quality,
+    }
+    p, g = network.probe_id, network.ground_id
     for kind in CostKind:
-        costs = edge_cost_vector(network, kind)
-        di = network.direct_index
-        others = [c for k, c in enumerate(costs) if k != di]
-        # Reconstruct the pre-penalty base costs of the other links.
-        assert costs[di] == pytest.approx(sum(others) + 1.0)
+        costs = edge_cost_matrix(network, kind)
+        assert costs[p, g] == costs[g, p] == pytest.approx(base[kind].sum() + 1.0)
+        costs[p, g] = costs[g, p] = base[kind][p, g]
+        assert np.array_equal(costs, base[kind])
 
 
 def test_direct_link_penalty_dominates_every_relay_path():
@@ -155,8 +180,8 @@ def test_direct_link_penalty_dominates_every_relay_path():
         for relay_count in (2, 3, 4, 5):
             network = build_random_network(seed=100 + seed, relay_count=relay_count)
             for kind in CostKind:
-                costs = edge_cost_vector(network, kind)
-                direct = float(costs[network.direct_index])
+                costs = edge_cost_matrix(network, kind)
+                direct = float(costs[network.probe_id, network.ground_id])
                 best_alternative = brute_force_min_cost(
                     network, kind, network.probe_id, network.ground_id
                 )
@@ -181,16 +206,19 @@ def test_perturb_clamps_to_valid_ranges():
     r = rng(3)
     for _ in range(50):
         perturb(network, r, 5.0)  # huge jitter to exercise the clamps
-        assert np.all(network.current_quality >= 0.0)
-        assert np.all(network.current_quality <= 1.0)
-        assert np.all(network.current_distance >= network.min_coord_km)
+        quality = network.current_quality[network.links]
+        assert np.all(quality >= 0.0)
+        assert np.all(quality <= 1.0)
+        assert np.all(network.current_distance[network.links] >= network.min_coord_km)
 
 
 def test_perturb_centered_on_default():
     network = build_random_network(seed=12)
     # Pick a link whose default quality sits well inside [0, 1] so the
     # clamp cannot bias the average.
-    idx = int(np.argmin(np.abs(network.default_quality - 0.6)))
+    idx = np.unravel_index(
+        np.argmin(np.abs(network.default_quality - 0.6)), network.default_quality.shape
+    )
     q = float(network.default_quality[idx])
     assert 0.3 < q < 0.9
     r = rng(5)
@@ -224,8 +252,6 @@ def test_reset_restores_fresh_state():
 
 
 def test_build_network_validation():
-    from dtn_tradesim.network import Node
-
     with pytest.raises(ConfigurationError):
         build_network([Node(0, NodeKind.PROBE, 0.0, 0.0)], rng(0))
     with pytest.raises(ConfigurationError):

@@ -26,6 +26,7 @@ from helpers import (
     build_random_network,
     distance_to,
     path_cost,
+    reference_dijkstra_path,
     rng,
     set_link,
 )
@@ -143,6 +144,39 @@ def test_next_hop_rejects_arrived_packet():
     network = build_random_network(seed=17, relay_count=2)
     with pytest.raises(ValueError):
         next_hop(network, ProtocolKind.BUNDLE, 1, 1)
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind))
+@pytest.mark.parametrize("current, dst", [(-1, 1), (99, 1), (0, -1), (0, 99)])
+def test_next_hop_rejects_out_of_range_nodes(protocol, current, dst):
+    network = build_random_network(seed=3)
+    with pytest.raises(ValueError, match="out of range"):
+        next_hop(network, protocol, current, dst)
+
+
+def test_next_hop_matches_reference_tie_order():
+    # The heap reference carries whole paths, so it defines the tie order:
+    # cost, then hop count, then the lexicographically smallest path.  High
+    # sigma clamps many qualities to 1, so zero-cost edges tie exactly.
+    decisions = 0
+    for seed in range(200):
+        relay_count = (1, 2, 4, 10, 30)[seed % 5]
+        sigma_frac = (0.0, 0.05, 0.6, 2.0)[seed // 5 % 4]
+        network = build_random_network(seed=500 + seed, relay_count=relay_count)
+        perturb(network, rng(seed), sigma_frac)
+        for protocol, kind in (
+            (ProtocolKind.DISTANCE_DIJKSTRA, CostKind.TRANSMISSION_TIME),
+            (ProtocolKind.QUALITY_DIJKSTRA, CostKind.QUALITY_COMPLEMENT),
+        ):
+            for src in range(network.node_count):
+                if src == network.ground_id:
+                    continue
+                want = reference_dijkstra_path(network, kind, src, network.ground_id)
+                got = next_hop(network, protocol, src, network.ground_id)
+                assert got == want[1], (seed, protocol, src)
+                assert dijkstra_path(network, kind, src, network.ground_id) == want
+                decisions += 1
+    assert decisions == 2 * 40 * (2 + 3 + 5 + 11 + 31)
 
 
 def test_dijkstra_next_hops_replay_whole_path_when_static():

@@ -178,6 +178,22 @@ def test_step_budget_violation_raises():
         simulate_packet(network, rng(4), sigma_frac=0.05, step_budget=1)
 
 
+def test_step_budget_fault_names_each_route_in_flight():
+    cfg = StudyConfig(
+        relay_count=4, sigma_frac=0.6, packet_count=20, run_count=1, step_budget_factor=1
+    )
+    with pytest.raises(SimulationFault) as info:
+        run_simulation(cfg, rng(0))
+    budget = cfg.relay_count + 2
+    _, in_flight = str(info.value).split("in flight: ")
+    for entry in in_flight.split("; "):
+        protocol, route = entry.split(" route ")
+        nodes = [int(v) for v in route.split("-")]
+        ProtocolKind(protocol)  # raises for an unknown protocol name
+        assert len(nodes) == budget + 1
+        assert nodes[0] == 0 and 1 not in nodes
+
+
 def test_cumulative_running_mean_examples():
     assert np.allclose(cumulative_running_mean([1.0, 2.0, 3.0]), [1.0, 1.5, 2.0])
     assert np.allclose(cumulative_running_mean([5.0]), [5.0])

@@ -1,6 +1,7 @@
 """Study orchestration and report bundle: aggregation, files, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -196,3 +197,19 @@ def test_different_seed_changes_packets(tmp_path):
     with open(out_b / "packets.csv", "rb") as fh:
         data_b = fh.read()
     assert data_a != data_b
+
+
+# sha256 of two files of the default seed-0 bundle.  A deliberate change to
+# the model or its random streams updates them and declares the change.
+GOLDEN_SHA256 = {
+    "packets.csv": "d0bff79ba43a807155abe9b1446b7a49869d5cb4f439aceda987abef7823c1c8",
+    "network_links_run0.csv": "950643c48bdd85d6258026fdd7f19fb71b6520eae617c5726a66f419a0bd7644",
+}
+
+
+def test_default_study_golden_bundle(tmp_path):
+    out_dir = str(tmp_path / "out")
+    write_report(run_study(StudyConfig(seed=0, out_dir=out_dir)))
+    for name, digest in GOLDEN_SHA256.items():
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
