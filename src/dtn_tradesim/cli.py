@@ -5,8 +5,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 
-from .config import config_lines, load_config
+from .config import StudyConfig, config_lines, load_config
 from .errors import ConfigurationError, SimulationFault
 from .report import write_report
 from .study import run_study
@@ -15,6 +16,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SIMULATION = 2
 EXIT_IO = 3
+
+# Short spellings of the most used flags.
+_ALIASES = {
+    "run_count": "--runs",
+    "packet_count": "--packets",
+    "relay_count": "--relays",
+    "out_dir": "--out",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,32 +38,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a study and write the report bundle")
     run.add_argument("--config", help="flat key=value config file")
-    run.add_argument("--seed", type=int, help="master seed (default 0)")
-    run.add_argument("--runs", type=int, dest="run_count", help="number of runs")
-    run.add_argument("--packets", type=int, dest="packet_count", help="packets per run")
-    run.add_argument("--relays", type=int, dest="relay_count", help="relay satellites")
-    run.add_argument("--sigma-frac", type=float, dest="sigma_frac", help="perturbation scale")
-    run.add_argument("--beta-a", type=float, dest="beta_a", help="quality Beta shape a")
-    run.add_argument("--beta-b", type=float, dest="beta_b", help="quality Beta shape b")
-    run.add_argument("--out", dest="out_dir", help="report output directory")
-    run.add_argument("--format", choices=["csv", "json", "both"], help="table format")
+    # One flag per config key, read as a string and converted by load_config.
+    for line in config_lines(StudyConfig()):
+        key, _, default = line.partition("=")
+        flags = ["--" + key.replace("_", "-")]
+        if key in _ALIASES:
+            flags.append(_ALIASES[key])
+        run.add_argument(*flags, dest=key, help=f"config key {key} (default {default})")
 
     validate = sub.add_parser("validate", help="resolve and check a config, then exit")
     validate.add_argument("--config", required=True, help="flat key=value config file")
     return parser
-
-
-_OVERRIDE_KEYS = (
-    "seed",
-    "run_count",
-    "packet_count",
-    "relay_count",
-    "sigma_frac",
-    "beta_a",
-    "beta_b",
-    "out_dir",
-    "format",
-)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,9 +63,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         overrides = {
-            key: getattr(args, key)
-            for key in _OVERRIDE_KEYS
-            if getattr(args, key) is not None
+            f.name: getattr(args, f.name)
+            for f in fields(StudyConfig)
+            if getattr(args, f.name) is not None
         }
         config = load_config(args.config, overrides)
         report = run_study(config)

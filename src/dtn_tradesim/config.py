@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
 from .network import NetworkConfig
@@ -45,6 +46,17 @@ class StudyConfig:
         )
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = type(f.default)
+            if kind is float:
+                finite = isinstance(value, float) and math.isfinite(value)
+                ok = finite or isinstance(value, int)
+            else:
+                ok = isinstance(value, kind)
+            if isinstance(value, bool) or not ok:
+                expected = "a finite number" if kind is float else kind.__name__
+                raise ConfigurationError(f"{f.name} must be {expected}, got {value!r}")
         if self.packet_count < 1:
             raise ConfigurationError(f"packet_count must be >= 1, got {self.packet_count}")
         if self.run_count < 1:
@@ -64,30 +76,19 @@ class StudyConfig:
         self.network_config.validate()
 
 
-def _parse_protocol(raw: str) -> ProtocolKind:
-    for p in ProtocolKind:
-        if p.value == raw:
-            return p
-    names = ", ".join(p.value for p in ProtocolKind)
-    raise ConfigurationError(f"unknown protocol {raw!r}, expected one of: {names}")
+_DEFAULTS = {f.name: f.default for f in fields(StudyConfig)}
 
 
-# key -> converter from raw string; conversion errors become config errors.
-_KEY_PARSERS = {
-    "packet_count": int,
-    "run_count": int,
-    "sigma_frac": float,
-    "beta_a": float,
-    "beta_b": float,
-    "relay_count": int,
-    "seed": int,
-    "end_to_end_km": float,
-    "min_coord_km": float,
-    "out_dir": str,
-    "format": str,
-    "baseline": _parse_protocol,
-    "step_budget_factor": int,
-}
+def _convert(key: str, value: object, where: str = "") -> object:
+    """Check the key and convert a string value to its field's default type."""
+    if key not in _DEFAULTS:
+        raise ConfigurationError(f"{where}unknown key {key!r}")
+    if not isinstance(value, str):
+        return value
+    try:
+        return type(_DEFAULTS[key])(value)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}bad value for {key}: {value!r} ({exc})") from exc
 
 
 def parse_config_file(path: str) -> dict[str, object]:
@@ -108,37 +109,22 @@ def parse_config_file(path: str) -> dict[str, object]:
             )
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _KEY_PARSERS:
-            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = _KEY_PARSERS[key](value)
-        except ConfigurationError:
-            raise
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{path}:{lineno}: bad value for {key}: {value!r} ({exc})"
-            ) from exc
+        values[key] = _convert(key, value.strip(), f"{path}:{lineno}: ")
     return values
 
 
 def load_config(
     path: str | None = None, overrides: dict[str, object] | None = None
 ) -> StudyConfig:
-    """Resolve a config: defaults, then the file, then explicit overrides."""
-    values: dict[str, object] = {}
-    if path is not None:
-        values.update(parse_config_file(path))
+    """Resolve a config: defaults, then the file, then explicit overrides.
+
+    String values are converted to their field's type, so config files and
+    command-line flags share one path; other values are checked by validate.
+    """
+    values = {} if path is None else parse_config_file(path)
     for key, value in (overrides or {}).items():
-        if key not in _KEY_PARSERS:
-            raise ConfigurationError(f"unknown config key {key!r}")
-        if isinstance(value, str) and _KEY_PARSERS[key] is not str:
-            try:
-                value = _KEY_PARSERS[key](value)
-            except ValueError as exc:
-                raise ConfigurationError(f"bad value for {key}: {value!r}") from exc
-        values[key] = value
-    config = replace(StudyConfig(), **values)
+        values[key] = _convert(key, value)
+    config = StudyConfig(**values)
     config.validate()
     return config
 

@@ -51,6 +51,11 @@ def value_linear(x: float, worst: float, best: float) -> float:
     return (worst - x) / (worst - best)
 
 
+def _value(x: float, worst: float, best: float) -> float:
+    """value_linear, except that a metric on which all protocols tie scores 1.0."""
+    return 1.0 if worst == best else value_linear(x, worst, best)
+
+
 def mavf_score(
     v_percent_error: float, v_transmission_time: float, weights: SwingWeights
 ) -> float:
@@ -70,8 +75,9 @@ def build_table(
 ) -> DecisionTable:
     """Score every protocol against the observed metric ranges.
 
-    Anchors are local: the worst and best observed mean per metric.  Raises
-    on a degenerate scale (all protocols identical on a metric).
+    Anchors are local: the worst and best observed mean per metric.  On a
+    metric where every protocol has the same mean there is no scale, and
+    every protocol scores 1.0 on it.
     """
     if set(percent_error) != set(transmission_time) or not percent_error:
         raise ValueError("metric maps must cover the same non-empty protocol set")
@@ -81,8 +87,8 @@ def build_table(
     for p in ProtocolKind:
         if p not in percent_error:
             continue
-        v_pe = value_linear(percent_error[p], pe_worst, pe_best)
-        v_tt = value_linear(transmission_time[p], tt_worst, tt_best)
+        v_pe = _value(percent_error[p], pe_worst, pe_best)
+        v_tt = _value(transmission_time[p], tt_worst, tt_best)
         rows.append(
             DecisionRow(
                 protocol=p,

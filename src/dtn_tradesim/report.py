@@ -16,11 +16,11 @@ import os
 from .config import StudyConfig, config_lines
 from .network import NetworkState
 from .routing import ProtocolKind, Route
-from .simulation import PacketState
 from .stats import METRIC_NAMES
 from .study import StudyReport
 
-TTEST_HEADER = ["metric", "protocol_a", "protocol_b", "t", "df", "p", "significant"]
+# Column names, then one value tuple per row in column order.
+Table = tuple[list[str], list[tuple]]
 
 
 def _fmt(value: object) -> object:
@@ -37,28 +37,24 @@ def route_text(route: Route) -> str:
 
 
 def _write_table(
-    out_dir: str,
-    name: str,
-    header: list[str],
-    rows: list[dict[str, object]],
-    fmt: str,
+    out_dir: str, name: str, columns: list[str], rows: list[tuple], fmt: str
 ) -> list[str]:
     """Write one logical table as CSV, JSON, or both; returns file names."""
     written = []
     if fmt in ("csv", "both"):
         path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
-            writer.writeheader()
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
             for row in rows:
-                writer.writerow({k: _fmt(v) for k, v in row.items()})
+                writer.writerow([_fmt(v) for v in row])
         written.append(f"{name}.csv")
     if fmt in ("json", "both"):
         path = os.path.join(out_dir, f"{name}.json")
         clean = [
             {
                 k: (None if isinstance(v, float) and math.isnan(v) else v)
-                for k, v in row.items()
+                for k, v in zip(columns, row)
             }
             for row in rows
         ]
@@ -69,152 +65,124 @@ def _write_table(
     return written
 
 
-def _packet_rows(report: StudyReport) -> list[dict[str, object]]:
-    rows = []
-    for i, run in enumerate(report.runs):
-        for r in run.records:
-            rows.append(
-                {
-                    "run": i,
-                    "packet": r.packet_index,
-                    "protocol": r.protocol.value,
-                    "state": r.state.value,
-                    "transmission_time_hr": r.transmission_time_hr,
-                    "route": route_text(r.route),
-                }
-            )
-    return rows
+def _packet_rows(report: StudyReport) -> Table:
+    columns = ["run", "packet", "protocol", "state", "transmission_time_hr", "route"]
+    rows = [
+        (
+            i,
+            r.packet_index,
+            r.protocol.value,
+            r.state.value,
+            r.transmission_time_hr,
+            route_text(r.route),
+        )
+        for i, run in enumerate(report.runs)
+        for r in run.records
+    ]
+    return columns, rows
 
 
-def _run_rows(report: StudyReport) -> list[dict[str, object]]:
+def _run_rows(report: StudyReport) -> Table:
+    columns = [
+        "run", "protocol", "percent_error", "time_mean_hr", "time_std_hr", "time_sem_hr"
+    ]
     rows = []
     for i, run in enumerate(report.runs):
         for p in ProtocolKind:
             s = run.summaries[p]
             rows.append(
-                {
-                    "run": i,
-                    "protocol": p.value,
-                    "percent_error": s.percent_error,
-                    "time_mean_hr": s.time_mean_hr,
-                    "time_std_hr": s.time_std_hr,
-                    "time_sem_hr": s.time_sem_hr,
-                }
+                (i, p.value, s.percent_error, s.time_mean_hr, s.time_std_hr, s.time_sem_hr)
             )
-    return rows
+    return columns, rows
 
 
-def _crm_rows(report: StudyReport) -> list[dict[str, object]]:
-    rows = []
-    for i, run in enumerate(report.runs):
-        for p in ProtocolKind:
-            for k, value in enumerate(run.summaries[p].crm_hr, start=1):
-                rows.append(
-                    {
-                        "run": i,
-                        "protocol": p.value,
-                        "sample_index": k,
-                        "crm_hr": float(value),
-                    }
-                )
-    return rows
+def _crm_rows(report: StudyReport) -> Table:
+    columns = ["run", "protocol", "sample_index", "crm_hr"]
+    rows = [
+        (i, p.value, k, float(value))
+        for i, run in enumerate(report.runs)
+        for p in ProtocolKind
+        for k, value in enumerate(run.summaries[p].crm_hr, start=1)
+    ]
+    return columns, rows
 
 
-def _study_rows(report: StudyReport) -> list[dict[str, object]]:
+def _study_rows(report: StudyReport) -> Table:
+    columns = ["protocol", "metric", "mean", "std", "sem", "n"]
     rows = []
     for metric in METRIC_NAMES:
         cells = report.study_summary.metric(metric)
         for p in ProtocolKind:
             s = cells[p]
-            rows.append(
-                {
-                    "protocol": p.value,
-                    "metric": metric,
-                    "mean": s.mean,
-                    "std": s.std,
-                    "sem": s.sem,
-                    "n": s.n,
-                }
-            )
-    return rows
+            rows.append((p.value, metric, s.mean, s.std, s.sem, s.n))
+    return columns, rows
 
 
-def _ttest_rows(report: StudyReport) -> list[dict[str, object]]:
+def _ttest_cells(report: StudyReport):
+    """(metric, a, b, result) for each unordered protocol pair, in table order."""
     if report.ttests is None:
-        return []
-    rows = []
+        return
     protocols = list(ProtocolKind)
     for metric in METRIC_NAMES:
-        entries = report.ttests[metric]
         for ai, a in enumerate(protocols):
             for b in protocols[ai + 1 :]:
-                r = entries[(a, b)]
-                rows.append(
-                    {
-                        "metric": metric,
-                        "protocol_a": a.value,
-                        "protocol_b": b.value,
-                        "t": r.t,
-                        "df": r.df,
-                        "p": r.p,
-                        "significant": r.significant,
-                    }
-                )
-    return rows
+                yield metric, a, b, report.ttests[metric][(a, b)]
 
 
-def _decision_rows(report: StudyReport) -> list[dict[str, object]]:
+def _ttest_rows(report: StudyReport) -> Table:
+    columns = ["metric", "protocol_a", "protocol_b", "t", "df", "p", "significant"]
+    rows = [
+        (metric, a.value, b.value, r.t, r.df, r.p, r.significant)
+        for metric, a, b, r in _ttest_cells(report)
+    ]
+    return columns, rows
+
+
+def _decision_rows(report: StudyReport) -> Table:
+    columns = [
+        "protocol", "v_percent_error", "v_transmission_time", "mavf", "mavf_corrected", "rank"
+    ]
     position = {p: k + 1 for k, p in enumerate(report.ranking)}
     rows = []
     for p in ProtocolKind:
         raw = report.decision_raw.row(p)
         corrected = report.decision_corrected.row(p)
         rows.append(
-            {
-                "protocol": p.value,
-                "v_percent_error": raw.v_percent_error,
-                "v_transmission_time": raw.v_transmission_time,
-                "mavf": raw.mavf,
-                "mavf_corrected": corrected.mavf,
-                "rank": position[p],
-            }
+            (
+                p.value,
+                raw.v_percent_error,
+                raw.v_transmission_time,
+                raw.mavf,
+                corrected.mavf,
+                position[p],
+            )
         )
-    return rows
+    return columns, rows
 
 
-def _route_rows(report: StudyReport) -> list[dict[str, object]]:
-    return [
-        {
-            "run": f.run_index,
-            "protocol": f.protocol.value,
-            "route": route_text(f.route),
-            "frequency": f.frequency,
-        }
+def _route_rows(report: StudyReport) -> Table:
+    columns = ["run", "protocol", "route", "frequency"]
+    rows = [
+        (f.run_index, f.protocol.value, route_text(f.route), f.frequency)
         for f in report.frequent_routes
     ]
+    return columns, rows
 
 
-def _node_rows(network: NetworkState) -> list[dict[str, object]]:
-    return [
-        {"node_id": n.id, "kind": n.kind.value, "x_km": n.x, "y_km": n.y}
-        for n in network.nodes
-    ]
+def _node_rows(network: NetworkState) -> Table:
+    columns = ["node_id", "kind", "x_km", "y_km"]
+    return columns, [(n.id, n.kind.value, n.x, n.y) for n in network.nodes]
 
 
-def _link_rows(network: NetworkState) -> list[dict[str, object]]:
+def _link_rows(network: NetworkState) -> Table:
+    columns = ["node_a", "node_b", "default_distance_km", "default_quality"]
     distance = network.default_distance.tolist()
     quality = network.default_quality.tolist()
     n = network.node_count
-    return [
-        {
-            "node_a": a,
-            "node_b": b,
-            "default_distance_km": distance[a][b],
-            "default_quality": quality[a][b],
-        }
-        for a in range(n)
-        for b in range(a + 1, n)
+    rows = [
+        (a, b, distance[a][b], quality[a][b]) for a in range(n) for b in range(a + 1, n)
     ]
+    return columns, rows
 
 
 def write_report(report: StudyReport) -> list[str]:
@@ -222,68 +190,30 @@ def write_report(report: StudyReport) -> list[str]:
     config: StudyConfig = report.config
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    fmt = config.format
 
-    files: list[str] = []
-    files += _write_table(
-        out_dir,
-        "packets",
-        ["run", "packet", "protocol", "state", "transmission_time_hr", "route"],
-        _packet_rows(report),
-        fmt,
-    )
-    files += _write_table(
-        out_dir,
-        "runs",
-        ["run", "protocol", "percent_error", "time_mean_hr", "time_std_hr", "time_sem_hr"],
-        _run_rows(report),
-        fmt,
-    )
-    files += _write_table(
-        out_dir,
-        "crm",
-        ["run", "protocol", "sample_index", "crm_hr"],
-        _crm_rows(report),
-        fmt,
-    )
-    files += _write_table(
-        out_dir,
-        "study_summary",
-        ["protocol", "metric", "mean", "std", "sem", "n"],
-        _study_rows(report),
-        fmt,
-    )
-    files += _write_table(out_dir, "ttest_matrix", TTEST_HEADER, _ttest_rows(report), fmt)
-    files += _write_table(
-        out_dir,
-        "decision",
-        ["protocol", "v_percent_error", "v_transmission_time", "mavf", "mavf_corrected", "rank"],
-        _decision_rows(report),
-        fmt,
-    )
-    files += _write_table(
-        out_dir,
-        "frequent_routes",
-        ["run", "protocol", "route", "frequency"],
-        _route_rows(report),
-        fmt,
-    )
+    # (file name, row builder, its argument); each table is built just before
+    # it is written, so only one table's rows are held at a time.
+    tables = [
+        ("packets", _packet_rows, report),
+        ("runs", _run_rows, report),
+        ("crm", _crm_rows, report),
+        ("study_summary", _study_rows, report),
+        ("ttest_matrix", _ttest_rows, report),
+        ("decision", _decision_rows, report),
+        ("frequent_routes", _route_rows, report),
+    ]
     for i, run in enumerate(report.runs):
-        files += _write_table(
-            out_dir,
-            f"network_nodes_run{i}",
-            ["node_id", "kind", "x_km", "y_km"],
-            _node_rows(run.network),
-            fmt,
-        )
-        files += _write_table(
-            out_dir,
-            f"network_links_run{i}",
-            ["node_a", "node_b", "default_distance_km", "default_quality"],
-            _link_rows(run.network),
-            fmt,
-        )
+        tables.append((f"network_nodes_run{i}", _node_rows, run.network))
+        tables.append((f"network_links_run{i}", _link_rows, run.network))
+    files: list[str] = []
+    for name, build, source in tables:
+        files += _write_table(out_dir, name, *build(source), config.format)
 
+    degenerate = [
+        f"{metric} {a.value}/{b.value}"
+        for metric, a, b, r in _ttest_cells(report)
+        if math.isnan(r.t)
+    ]
     manifest = os.path.join(out_dir, "manifest.txt")
     with open(manifest, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"dtn-tradesim {report.provenance['tool_version']}\n")
@@ -292,6 +222,9 @@ def write_report(report: StudyReport) -> list[str]:
         fh.write("ranking=" + ">".join(p.value for p in report.ranking) + "\n")
         if report.ttests is None:
             fh.write("ttests=skipped (run_count < 2)\n")
+        if degenerate:
+            fh.write("ttests=NaN where both variances are zero: ")
+            fh.write(", ".join(degenerate) + "\n")
         fh.write("[config]\n")
         for line in config_lines(config):
             fh.write(line + "\n")

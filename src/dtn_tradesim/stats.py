@@ -7,6 +7,7 @@ and can be cross-checked against direct numeric integration of the density.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,8 @@ from .routing import ProtocolKind
 _BETA_REL_TOL = 1e-10
 _BETA_MAX_ITER = 500
 _TINY = 1e-300
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -168,16 +171,28 @@ def significance_matrix(study: StudySummary, alpha: float = 0.05) -> PairwiseTes
     """Welch tests for every ordered protocol pair on both metrics.
 
     Both orientations of each pair are present (t flips sign, p and df
-    match); a protocol is never tested against itself.
+    match); a protocol is never tested against itself.  A pair whose two
+    samples both have zero variance has no Welch test: its cell holds NaN
+    for t, df and p and is not significant.
     """
     out: PairwiseTests = {}
     for metric in METRIC_NAMES:
         cells = study.metric(metric)
+        flat = [p for p in ProtocolKind if cells[p].std == 0.0]
+        if len(flat) > 1:
+            logger.warning(
+                "%s: zero variance for %s; their t-tests are written as NaN",
+                metric,
+                ", ".join(p.value for p in flat),
+            )
         entries: dict[tuple[ProtocolKind, ProtocolKind], TTestResult] = {}
         for a in ProtocolKind:
             for b in ProtocolKind:
                 if a is b:
                     continue
-                entries[(a, b)] = welch_t(cells[a], cells[b], alpha=alpha)
+                if a in flat and b in flat:
+                    entries[(a, b)] = TTestResult(math.nan, math.nan, math.nan, False)
+                else:
+                    entries[(a, b)] = welch_t(cells[a], cells[b], alpha=alpha)
         out[metric] = entries
     return out

@@ -1,8 +1,12 @@
 """Command-line behavior: subcommands, overrides, exit codes."""
 
+import itertools
 import os
+import random
 
-from dtn_tradesim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+import pytest
+
+from dtn_tradesim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -100,3 +104,47 @@ def test_run_json_format(tmp_path):
     assert "packets.json" in names
     assert "packets.csv" not in names
     assert "manifest.txt" in names
+
+
+@pytest.mark.parametrize("flags", [["--runs", "abc"], ["--format", "xml"]])
+def test_bad_flag_value_is_config_error(flags, capsys):
+    assert main(["run", *flags]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_derived_long_flags(tmp_path):
+    out_dir = str(tmp_path / "report")
+    flags = "--run-count 1 --packet-count 4 --relay-count 3 --baseline quality_dijkstra"
+    code = main(["run", *flags.split(), "--step-budget-factor", "7", "--out-dir", out_dir])
+    assert code == EXIT_OK
+    with open(os.path.join(out_dir, "manifest.txt"), encoding="utf-8") as fh:
+        manifest = fh.read()
+    assert "baseline=quality_dijkstra" in manifest
+    assert "step_budget_factor=7" in manifest
+
+
+def test_edge_config_sweep_ends_in_documented_exit_codes(tmp_path):
+    """Accepted edge configs end in a bundle or an exit code, never an exception."""
+    fixed = {
+        # Percent error without variance, for every protocol or for the two
+        # Dijkstra protocols: t-tests with both variances zero.
+        "--beta-a 50 --beta-b 0.01 --runs 2 --packets 20": EXIT_OK,
+        "--sigma-frac 0.6 --relays 30 --runs 2 --packets 100": EXIT_OK,
+        # One relay: every protocol takes the same route and time, no scale.
+        "--relays 1 --runs 2 --packets 20": EXIT_OK,
+        "--sigma-frac nan": EXIT_CONFIG,
+    }
+    rng = random.Random(5)
+    grid = itertools.product(("1", "2", "120"), (("3", "2"), ("50", "0.01")), ("0", "0.6"), "12")
+    cases = [(flags.split(), code) for flags, code in fixed.items()]
+    for relays, (a, b), sigma, runs in grid:
+        flags = ["--relays", relays, "--beta-a", a, "--beta-b", b, "--sigma-frac", sigma]
+        flags += ["--runs", runs, "--packets", str(rng.randint(1, 20))]
+        cases.append((flags, None))
+    for k, (flags, want) in enumerate(cases):
+        argv = ["run", *flags, "--seed", str(k)]
+        code = main(argv + ["--out", str(tmp_path / f"r{k}")])
+        if want is None:
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION, EXIT_IO), argv
+        else:
+            assert code == want, argv

@@ -1,5 +1,10 @@
 """Configuration resolution: defaults, file parsing, overrides, validation."""
 
+import math
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from dtn_tradesim.config import StudyConfig, config_hash, config_lines, load_config
@@ -96,11 +101,35 @@ def test_override_strings_are_converted():
         {"end_to_end_km": 1.0e4},
         {"step_budget_factor": 0},
         {"bogus_key": 1},
+        {"sigma_frac": "nan"},
+        {"beta_a": "nan"},
+        {"beta_b": math.inf},
+        {"end_to_end_km": "inf"},
+        {"packet_count": 2.5},
+        {"run_count": True},
+        {"sigma_frac": False},
+        {"seed": None},
     ],
 )
 def test_invalid_values_rejected(overrides):
     with pytest.raises(ConfigurationError):
         load_config(None, overrides)
+
+
+def test_int_accepted_for_float_key():
+    assert load_config(None, {"sigma_frac": 0, "beta_a": 2}).sigma_frac == 0
+
+
+def test_readme_key_block_is_the_defaults(tmp_path):
+    """README's key=value block names every key with its default, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```\n((?:\w+=.*\n)+)```", readme)
+    assert len(blocks) == 1
+    lines = [line.split("#", 1)[0].strip() for line in blocks[0].splitlines()]
+    assert [line.partition("=")[0] for line in lines] == [f.name for f in fields(StudyConfig)]
+    path = tmp_path / "readme.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_config(str(path)) == StudyConfig()
 
 
 def test_config_hash_stable_and_sensitive():

@@ -83,6 +83,13 @@ def test_build_table_reference_case():
         assert row.mavf == pytest.approx(mavf, abs=1e-3)
 
 
+def test_build_table_tied_metric_scores_one():
+    table = build_table(PE_MEANS, {B: 1.5, D: 1.5, Q: 1.5})
+    assert [row.v_transmission_time for row in table.rows] == [1.0, 1.0, 1.0]
+    assert table.row(Q).v_percent_error == 1.0
+    assert table.row(D).v_percent_error == 0.0
+
+
 def test_build_table_requires_matching_protocol_sets():
     with pytest.raises(ValueError):
         build_table({B: 1.0}, {B: 1.0, D: 2.0})

@@ -164,6 +164,18 @@ def test_welch_scale_invariance():
         assert scaled.p == pytest.approx(base.p, rel=1e-9)
 
 
+def test_significance_matrix_zero_variance_cells_are_nan(caplog):
+    flat = SummaryStats(0.0, 0.0, 5)
+    study = StudySummary(percent_error={B: flat, D: flat, Q: PE_REF[Q]}, transmission_time=TT_REF)
+    pe = significance_matrix(study)["percent_error"]
+    for pair in [(B, D), (D, B)]:
+        cell = pe[pair]
+        assert math.isnan(cell.t) and math.isnan(cell.df) and math.isnan(cell.p)
+        assert not cell.significant
+    assert pe[(B, Q)] == welch_t(flat, PE_REF[Q])
+    assert "zero variance for bundle, distance_dijkstra" in caplog.text
+
+
 def test_significance_matrix_reference_pattern():
     study = StudySummary(percent_error=PE_REF, transmission_time=TT_REF)
     tests = significance_matrix(study)

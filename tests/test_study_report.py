@@ -153,6 +153,21 @@ def test_skipped_ttests_leave_header_only_table(tmp_path):
     assert "ttests=skipped" in manifest
 
 
+def test_zero_variance_ttests_written_as_nan(tmp_path):
+    # Beta(50, 0.01) links almost never damage a copy: 0% error in most runs.
+    cfg = small_config(beta_a=50.0, beta_b=0.01, format="both", out_dir=str(tmp_path / "flat"))
+    write_report(run_study(cfg))
+    with open(os.path.join(cfg.out_dir, "ttest_matrix.json"), encoding="utf-8") as fh:
+        nan_cells = [row for row in json.load(fh) if row["t"] is None]
+    assert nan_cells
+    assert all(row["df"] is None and row["p"] is None for row in nan_cells)
+    assert not any(row["significant"] for row in nan_cells)
+    named = ", ".join(f"{r['metric']} {r['protocol_a']}/{r['protocol_b']}" for r in nan_cells)
+    with open(os.path.join(cfg.out_dir, "manifest.txt"), encoding="utf-8") as fh:
+        manifest = fh.read()
+    assert f"\nttests=NaN where both variances are zero: {named}\n" in manifest
+
+
 def test_manifest_lists_written_files(tmp_path):
     cfg = small_config(out_dir=str(tmp_path / "manifest"))
     files = write_report(run_study(cfg))
