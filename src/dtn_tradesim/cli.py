@@ -26,8 +26,18 @@ _ALIASES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigurationError; flag prefixes are never expanded."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dtn-tradesim",
         description=(
             "Seedable Monte Carlo trade study of store-and-forward routing "
@@ -53,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "validate":
             config = load_config(args.config)
             for line in config_lines(config):

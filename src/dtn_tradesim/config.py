@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
-from .network import NetworkConfig
 from .routing import ProtocolKind
 
 FORMATS = ("csv", "json", "both")
@@ -34,16 +33,6 @@ class StudyConfig:
     format: str = "csv"
     baseline: ProtocolKind = ProtocolKind.BUNDLE
     step_budget_factor: int = 10
-
-    @property
-    def network_config(self) -> NetworkConfig:
-        return NetworkConfig(
-            relay_count=self.relay_count,
-            end_to_end_km=self.end_to_end_km,
-            min_coord_km=self.min_coord_km,
-            beta_a=self.beta_a,
-            beta_b=self.beta_b,
-        )
 
     def validate(self) -> None:
         for f in fields(self):
@@ -73,7 +62,19 @@ class StudyConfig:
             raise ConfigurationError(
                 f"step_budget_factor must be >= 1, got {self.step_budget_factor}"
             )
-        self.network_config.validate()
+        if self.relay_count < 1:
+            raise ConfigurationError(f"relay_count must be >= 1, got {self.relay_count}")
+        if self.min_coord_km <= 0:
+            raise ConfigurationError(f"min_coord_km must be > 0, got {self.min_coord_km}")
+        if self.end_to_end_km <= 2 * self.min_coord_km:
+            raise ConfigurationError(
+                "end_to_end_km must exceed 2 * min_coord_km, got "
+                f"{self.end_to_end_km} vs {self.min_coord_km}"
+            )
+        if self.beta_a <= 0 or self.beta_b <= 0:
+            raise ConfigurationError(
+                f"beta shape parameters must be > 0, got ({self.beta_a}, {self.beta_b})"
+            )
 
 
 _DEFAULTS = {f.name: f.default for f in fields(StudyConfig)}

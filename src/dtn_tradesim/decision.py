@@ -102,9 +102,7 @@ def build_table(
     return DecisionTable(rows=tuple(rows), weights=weights)
 
 
-def practicality_correction(
-    table: DecisionTable, baseline: ProtocolKind = ProtocolKind.BUNDLE
-) -> DecisionTable:
+def practicality_correction(table: DecisionTable, baseline: ProtocolKind) -> DecisionTable:
     """Zero the speed credit of protocols less reliable than the baseline.
 
     A protocol whose percent-error mean is worse than the baseline's loses

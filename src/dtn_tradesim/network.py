@@ -8,9 +8,11 @@ per-step perturbation jitters around the default.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,96 +39,41 @@ class CostKind(Enum):
     QUALITY_COMPLEMENT = "quality_complement"
 
 
-@dataclass(frozen=True)
-class Node:
-    id: int
-    kind: NodeKind
-    x: float
-    y: float
+def place_nodes(config, rng: np.random.Generator) -> np.ndarray:
+    """Node positions in kilometers: an (n, 2) array of (x, y), row = node id.
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Geometry and link-quality parameters for network generation.
-
-    Distances are kilometers.  Relays are placed uniformly inside a
-    rectangle spanning the probe-to-ground axis; link qualities are drawn
-    from Beta(beta_a, beta_b).
-    """
-
-    relay_count: int = 10
-    end_to_end_km: float = 1.27e9
-    min_coord_km: float = 1.0e4
-    beta_a: float = 3.0
-    beta_b: float = 2.0
-
-    def validate(self) -> None:
-        if self.relay_count < 1:
-            raise ConfigurationError(
-                f"relay_count must be >= 1, got {self.relay_count}"
-            )
-        if self.min_coord_km <= 0:
-            raise ConfigurationError(
-                f"min_coord_km must be > 0, got {self.min_coord_km}"
-            )
-        if self.end_to_end_km <= 2 * self.min_coord_km:
-            raise ConfigurationError(
-                "end_to_end_km must exceed 2 * min_coord_km, got "
-                f"{self.end_to_end_km} vs {self.min_coord_km}"
-            )
-        if self.beta_a <= 0 or self.beta_b <= 0:
-            raise ConfigurationError(
-                f"beta shape parameters must be > 0, got ({self.beta_a}, {self.beta_b})"
-            )
-
-
-def euclidean_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Plane distance between two (x, y) points in kilometers."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def place_nodes(config: NetworkConfig, rng: np.random.Generator) -> list[Node]:
-    """Place the probe, the ground station, and uniform random relays.
-
+    config is a StudyConfig (relay_count, end_to_end_km, min_coord_km).
     Ground sits at the origin and the probe at (end_to_end_km, 0), so their
     separation equals the configured end-to-end span exactly.  Relay x values
     stay min_coord_km clear of both endpoints; relay y spans half the
     end-to-end distance on either side of the axis.
     """
-    config.validate()
     e = config.end_to_end_km
-    nodes = [
-        Node(PROBE_ID, NodeKind.PROBE, e, 0.0),
-        Node(GROUND_ID, NodeKind.GROUND, 0.0, 0.0),
-    ]
     xs = rng.uniform(config.min_coord_km, e - config.min_coord_km, config.relay_count)
     ys = rng.uniform(-e / 2.0, e / 2.0, config.relay_count)
-    for k in range(config.relay_count):
-        nodes.append(Node(2 + k, NodeKind.RELAY, float(xs[k]), float(ys[k])))
-    return nodes
+    # Rows PROBE_ID = 0 and GROUND_ID = 1, then the relays.
+    return np.vstack(([e, 0.0], [0.0, 0.0], np.column_stack((xs, ys))))
 
 
 @dataclass
 class NetworkState:
     """Complete graph over the placed nodes with default and current link state.
 
-    Link attributes are symmetric n x n arrays indexed by node id:
-    ``current_quality[a, b]`` is the current quality of the link between a
-    and b.  The diagonal holds no link and stays zero.
+    positions is the (n, 2) array from place_nodes; the probe and the ground
+    station always hold ids PROBE_ID and GROUND_ID.  Link attributes are
+    symmetric n x n arrays indexed by node id: ``current_quality[a, b]`` is
+    the current quality of the link between a and b.  The diagonal holds no
+    link and stays zero.
     """
 
-    nodes: list[Node]
+    positions: np.ndarray
     default_distance: np.ndarray
     current_distance: np.ndarray
     default_quality: np.ndarray
     current_quality: np.ndarray
     min_coord_km: float
-    probe_id: int = PROBE_ID
-    ground_id: int = GROUND_ID
+    probe_id: ClassVar[int] = PROBE_ID
+    ground_id: ClassVar[int] = GROUND_ID
     # Upper-triangle mask: selecting with it visits the links (a < b) in
     # row-major order, the order in which link values are drawn.
     links: np.ndarray = field(init=False, repr=False, compare=False)
@@ -136,17 +83,12 @@ class NetworkState:
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.positions)
 
     @property
     def link_count(self) -> int:
         n = self.node_count
         return n * (n - 1) // 2
-
-    @property
-    def has_relays(self) -> bool:
-        # build_network admits exactly one probe and one ground station.
-        return self.node_count > 2
 
 
 def _set_links(network: NetworkState, matrix: np.ndarray, values: np.ndarray) -> None:
@@ -156,43 +98,31 @@ def _set_links(network: NetworkState, matrix: np.ndarray, values: np.ndarray) ->
 
 
 def build_network(
-    nodes: list[Node],
-    rng: np.random.Generator,
-    config: NetworkConfig | None = None,
+    positions: np.ndarray, rng: np.random.Generator, config
 ) -> NetworkState:
     """Assemble the complete graph: geometric distances, Beta link qualities.
 
-    Qualities are drawn in one vectorized call over the links in row-major
-    upper-triangle order, so the same seed always yields the same network.
+    config is a StudyConfig (beta_a, beta_b, min_coord_km).  Qualities are
+    drawn in one vectorized call over the links in row-major upper-triangle
+    order, so the same seed always yields the same network.
     """
-    cfg = config if config is not None else NetworkConfig()
-    cfg.validate()
-    n = len(nodes)
+    n = len(positions)
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got {n}")
-    if sorted(node.id for node in nodes) != list(range(n)):
-        raise ConfigurationError("node ids must be consecutive from 0")
-    kinds = [node.kind for node in nodes]
-    if kinds.count(NodeKind.PROBE) != 1 or kinds.count(NodeKind.GROUND) != 1:
-        raise ConfigurationError("exactly one probe and one ground station required")
-
-    by_id = sorted(nodes, key=lambda node: node.id)
     network = NetworkState(
-        nodes=by_id,
+        positions=positions,
         default_distance=np.zeros((n, n)),
         current_distance=np.zeros((n, n)),
         default_quality=np.zeros((n, n)),
         current_quality=np.zeros((n, n)),
-        min_coord_km=cfg.min_coord_km,
-        probe_id=next(node.id for node in by_id if node.kind is NodeKind.PROBE),
-        ground_id=next(node.id for node in by_id if node.kind is NodeKind.GROUND),
+        min_coord_km=config.min_coord_km,
     )
+    # math.hypot per pair, in draw order; np.hypot may differ in the last bit.
     dist = [
-        euclidean_distance(by_id[i].position, by_id[j].position)
-        for i in range(n)
-        for j in range(i + 1, n)
+        math.hypot(ax - bx, ay - by)
+        for (ax, ay), (bx, by) in itertools.combinations(positions.tolist(), 2)
     ]
-    quality = rng.beta(cfg.beta_a, cfg.beta_b, size=len(dist))
+    quality = rng.beta(config.beta_a, config.beta_b, size=len(dist))
     _set_links(network, network.default_distance, np.array(dist))
     _set_links(network, network.default_quality, quality)
     return reset(network)

@@ -14,7 +14,7 @@ import math
 import os
 
 from .config import StudyConfig, config_lines
-from .network import NetworkState
+from .network import GROUND_ID, PROBE_ID, NetworkState, NodeKind
 from .routing import ProtocolKind, Route
 from .stats import METRIC_NAMES
 from .study import StudyReport
@@ -171,7 +171,9 @@ def _route_rows(report: StudyReport) -> Table:
 
 def _node_rows(network: NetworkState) -> Table:
     columns = ["node_id", "kind", "x_km", "y_km"]
-    return columns, [(n.id, n.kind.value, n.x, n.y) for n in network.nodes]
+    kinds = {PROBE_ID: NodeKind.PROBE, GROUND_ID: NodeKind.GROUND}
+    xy = enumerate(network.positions.tolist())
+    return columns, [(i, kinds.get(i, NodeKind.RELAY).value, x, y) for i, (x, y) in xy]
 
 
 def _link_rows(network: NetworkState) -> Table:

@@ -116,9 +116,8 @@ def _bundle_next_hop(network: NetworkState, current: int, dst: int) -> int:
     to_dst[dst] = 0.0
     quality = network.current_quality[current].tolist()
     cur_d = to_dst[current]
-    excluded = (
-        network.ground_id if current == network.probe_id and network.has_relays else -1
-    )
+    skip_direct = current == network.probe_id and network.node_count > 2
+    excluded = network.ground_id if skip_direct else -1
     best = -1
     best_q = -1.0
     for v, d_v in enumerate(to_dst):

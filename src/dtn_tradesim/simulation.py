@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from .config import StudyConfig
 from .errors import SimulationFault
 from .network import (
     SPEED_OF_LIGHT_KM_S,
@@ -109,7 +110,7 @@ def simulate_packet(
     raises SimulationFault.
     """
     if step_budget is None:
-        step_budget = 10 * network.node_count
+        step_budget = StudyConfig.step_budget_factor * network.node_count
     src = network.probe_id
     dst = network.ground_id
     copies = {p: _Copy(node=src, route=[src]) for p in PROTOCOL_ORDER}
@@ -185,16 +186,14 @@ def summarize_protocol_records(
     )
 
 
-def run_simulation(config, rng: np.random.Generator) -> RunResult:
+def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
     """One run: build a fresh random network, then push packet_count packets.
 
-    config provides packet_count, sigma_frac, step_budget_factor, and the
-    network parameters; the network resets to its defaults before every
-    packet.
+    config is a StudyConfig, validated here; the network resets to its
+    defaults before every packet.
     """
-    net_cfg = config.network_config
-    nodes = place_nodes(net_cfg, rng)
-    network = build_network(nodes, rng, net_cfg)
+    config.validate()
+    network = build_network(place_nodes(config, rng), rng, config)
     budget = config.step_budget_factor * network.node_count
     records: list[PacketRecord] = []
     for k in range(config.packet_count):

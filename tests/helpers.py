@@ -8,11 +8,10 @@ import math
 
 import numpy as np
 
+from dtn_tradesim.config import StudyConfig
 from dtn_tradesim.network import (
     CostKind,
-    NetworkConfig,
     NetworkState,
-    Node,
     NodeKind,
     build_network,
     edge_cost_matrix,
@@ -25,21 +24,10 @@ def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def build_random_network(
-    seed: int,
-    relay_count: int = 10,
-    end_to_end_km: float = 1.27e9,
-    min_coord_km: float = 1.0e4,
-    beta_a: float = 3.0,
-    beta_b: float = 2.0,
-) -> NetworkState:
-    cfg = NetworkConfig(
-        relay_count=relay_count,
-        end_to_end_km=end_to_end_km,
-        min_coord_km=min_coord_km,
-        beta_a=beta_a,
-        beta_b=beta_b,
-    )
+def build_random_network(seed: int, **keys) -> NetworkState:
+    """Random network for a StudyConfig with the given keys overridden."""
+    cfg = StudyConfig(**keys)
+    cfg.validate()
     r = rng(seed)
     return build_network(place_nodes(cfg, r), r, cfg)
 
@@ -49,10 +37,15 @@ def build_custom_network(
     seed: int = 0,
     min_coord_km: float = 1.0,
 ) -> NetworkState:
-    """Network from explicit (kind, x, y) rows; ids follow list order."""
-    nodes = [Node(i, kind, x, y) for i, (kind, x, y) in enumerate(positions)]
-    cfg = NetworkConfig(min_coord_km=min_coord_km)
-    return build_network(nodes, rng(seed), cfg)
+    """Network from explicit (kind, x, y) rows; ids follow list order.
+
+    The probe row comes first and the ground row second, as in place_nodes.
+    """
+    kinds = [kind for kind, _, _ in positions]
+    if kinds != [NodeKind.PROBE, NodeKind.GROUND] + [NodeKind.RELAY] * (len(kinds) - 2):
+        raise ValueError(f"rows must be probe, ground, then relays: {kinds}")
+    xy = np.array([(x, y) for _, x, y in positions], dtype=np.float64)
+    return build_network(xy, rng(seed), StudyConfig(min_coord_km=min_coord_km))
 
 
 def set_link(

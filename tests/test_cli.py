@@ -112,6 +112,30 @@ def test_bad_flag_value_is_config_error(flags, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["run", "--bogus", "1"], EXIT_CONFIG, "unrecognized arguments: --bogus 1"),
+        # A prefix of two flags is unknown, not ambiguous: no prefix matching.
+        (["run", "--pack", "5"], EXIT_CONFIG, "unrecognized arguments: --pack 5"),
+        (["validate"], EXIT_CONFIG, "required: --config"),
+        ([], EXIT_CONFIG, "required: command"),
+        (["run", "--help"], EXIT_OK, None),
+    ],
+    ids=["unknown-flag", "flag-prefix", "validate-no-config", "no-command", "run-help"],
+)
+def test_usage_error_is_config_error(argv, code, message, capsys):
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # --help prints usage and exits through argparse
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    if message is not None:
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert message in err
+
+
 def test_derived_long_flags(tmp_path):
     out_dir = str(tmp_path / "report")
     flags = "--run-count 1 --packet-count 4 --relay-count 3 --baseline quality_dijkstra"

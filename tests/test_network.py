@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from dtn_tradesim.config import StudyConfig
 from dtn_tradesim.errors import ConfigurationError
 from dtn_tradesim.network import (
     GROUND_ID,
     PROBE_ID,
     SPEED_OF_LIGHT_KM_S,
     CostKind,
-    NetworkConfig,
-    NodeKind,
-    Node,
     build_network,
     edge_cost_matrix,
-    euclidean_distance,
     perturb,
     place_nodes,
     reset,
@@ -26,48 +23,27 @@ from dtn_tradesim.network import (
 from helpers import brute_force_min_cost, build_random_network, rng, set_link
 
 
-def test_euclidean_distance_examples():
-    assert euclidean_distance((0.0, 0.0), (3.0, 4.0)) == 5.0
-    assert euclidean_distance((1.0, 1.0), (1.0, 1.0)) == 0.0
-    assert euclidean_distance((0.0, 0.0), (1.27e9, 0.0)) == 1.27e9
-
-
 def test_place_nodes_endpoints_fixed():
-    nodes = place_nodes(NetworkConfig(), rng(3))
-    probe = nodes[PROBE_ID]
-    ground = nodes[GROUND_ID]
-    assert probe.kind is NodeKind.PROBE and probe.position == (1.27e9, 0.0)
-    assert ground.kind is NodeKind.GROUND and ground.position == (0.0, 0.0)
-    assert euclidean_distance(probe.position, ground.position) == 1.27e9
+    positions = place_nodes(StudyConfig(), rng(3))
+    assert positions.shape == (12, 2)
+    assert positions[PROBE_ID].tolist() == [1.27e9, 0.0]
+    assert positions[GROUND_ID].tolist() == [0.0, 0.0]
 
 
 def test_place_nodes_relay_bounds():
-    cfg = NetworkConfig()
+    cfg = StudyConfig()
     for seed in range(10):
-        nodes = place_nodes(cfg, rng(seed))
-        relays = [n for n in nodes if n.kind is NodeKind.RELAY]
+        relays = place_nodes(cfg, rng(seed))[2:]
         assert len(relays) == cfg.relay_count
-        for n in relays:
-            assert cfg.min_coord_km <= n.x <= cfg.end_to_end_km - cfg.min_coord_km
-            assert -cfg.end_to_end_km / 2 <= n.y <= cfg.end_to_end_km / 2
+        xs, ys = relays.T
+        assert np.all(xs >= cfg.min_coord_km)
+        assert np.all(xs <= cfg.end_to_end_km - cfg.min_coord_km)
+        assert np.all(np.abs(ys) <= cfg.end_to_end_km / 2)
 
 
 def test_place_nodes_deterministic():
-    assert place_nodes(NetworkConfig(), rng(11)) == place_nodes(NetworkConfig(), rng(11))
-
-
-def test_place_nodes_rejects_zero_relays():
-    with pytest.raises(ConfigurationError):
-        place_nodes(NetworkConfig(relay_count=0), rng(0))
-
-
-def test_network_config_range_checks():
-    with pytest.raises(ConfigurationError):
-        NetworkConfig(min_coord_km=0.0).validate()
-    with pytest.raises(ConfigurationError):
-        NetworkConfig(end_to_end_km=1.0e4, min_coord_km=1.0e4).validate()
-    with pytest.raises(ConfigurationError):
-        NetworkConfig(beta_a=0.0).validate()
+    a = place_nodes(StudyConfig(), rng(11))
+    assert np.array_equal(a, place_nodes(StudyConfig(), rng(11)))
 
 
 def test_sample_quality_moments():
@@ -89,14 +65,6 @@ def test_sample_quality_uniform_special_case():
     assert result.pvalue > 0.01
 
 
-def test_sample_quality_rejects_bad_shapes():
-    nodes = place_nodes(NetworkConfig(relay_count=2), rng(0))
-    with pytest.raises(ConfigurationError):
-        build_network(nodes, rng(0), NetworkConfig(beta_a=0.0))
-    with pytest.raises(ConfigurationError):
-        build_network(nodes, rng(0), NetworkConfig(beta_b=-1.0))
-
-
 def test_build_network_complete_graph():
     network = build_random_network(seed=5)
     n = network.node_count
@@ -113,7 +81,7 @@ def test_build_network_deterministic():
     b = build_random_network(seed=9)
     assert np.array_equal(a.default_quality, b.default_quality)
     assert np.array_equal(a.default_distance, b.default_distance)
-    assert a.nodes == b.nodes
+    assert np.array_equal(a.positions, b.positions)
 
 
 def test_link_view_symmetric():
@@ -253,14 +221,4 @@ def test_reset_restores_fresh_state():
 
 def test_build_network_validation():
     with pytest.raises(ConfigurationError):
-        build_network([Node(0, NodeKind.PROBE, 0.0, 0.0)], rng(0))
-    with pytest.raises(ConfigurationError):
-        build_network(
-            [Node(0, NodeKind.PROBE, 0.0, 0.0), Node(2, NodeKind.GROUND, 1.0, 0.0)],
-            rng(0),
-        )
-    with pytest.raises(ConfigurationError):
-        build_network(
-            [Node(0, NodeKind.PROBE, 0.0, 0.0), Node(1, NodeKind.PROBE, 1.0, 0.0)],
-            rng(0),
-        )
+        build_network(np.zeros((1, 2)), rng(0), StudyConfig())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dtn_tradesim.simulation as simulation
-from dtn_tradesim.errors import SimulationFault
+from dtn_tradesim.errors import ConfigurationError, SimulationFault
 from dtn_tradesim.network import (
     SPEED_OF_LIGHT_KM_S,
     CostKind,
@@ -258,8 +258,7 @@ def test_run_simulation_resets_between_packets():
     got = run_simulation(cfg, rng(21)).records
 
     r = rng(21)
-    net_cfg = cfg.network_config
-    network = build_network(place_nodes(net_cfg, r), r, net_cfg)
+    network = build_network(place_nodes(cfg, r), r, cfg)
     want = []
     for k in range(cfg.packet_count):
         reset(network)
@@ -273,6 +272,22 @@ def test_run_simulation_resets_between_packets():
             )
         )
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"relay_count": 0},
+        {"min_coord_km": 0.0},
+        {"end_to_end_km": 1.0e4},
+        {"beta_a": 0.0},
+        {"beta_b": -1.0},
+    ],
+    ids=lambda overrides: next(iter(overrides)),
+)
+def test_run_simulation_rejects_bad_network_keys(overrides):
+    with pytest.raises(ConfigurationError):
+        run_simulation(small_config(**overrides), rng(0))
 
 
 def test_run_simulation_summary_counts():

@@ -219,6 +219,7 @@ def test_different_seed_changes_packets(tmp_path):
 GOLDEN_SHA256 = {
     "packets.csv": "d0bff79ba43a807155abe9b1446b7a49869d5cb4f439aceda987abef7823c1c8",
     "network_links_run0.csv": "950643c48bdd85d6258026fdd7f19fb71b6520eae617c5726a66f419a0bd7644",
+    "network_nodes_run0.csv": "7a5b9dacdaaaf8771d276062d5fe5f950d15e1006868bf63e3ffffa228ec0d59",
 }
 
 
