@@ -214,18 +214,55 @@ def test_different_seed_changes_packets(tmp_path):
     assert data_a != data_b
 
 
-# sha256 of two files of the default seed-0 bundle.  A deliberate change to
-# the model or its random streams updates them and declares the change.
+# sha256 of every file of the default seed-0 bundle in both formats, written
+# to the default out_dir so that the manifest is stable.  Over all of them,
+# `sha256sum * | sha256sum` in the bundle directory gives
+# e1977345ed8e3f5e0ad4f1d5a88ed1e8acf3c690e5a4812de135c8c928cd3c7f.
+# A deliberate change to the model or its random streams updates them and
+# declares the change.
 GOLDEN_SHA256 = {
-    "packets.csv": "d0bff79ba43a807155abe9b1446b7a49869d5cb4f439aceda987abef7823c1c8",
+    "crm.csv": "691f425a0055e755ea2f6e0dda6508baa9c9ee1f6af990f00d410bd560bf16bf",
+    "crm.json": "b43ee4ea2bdd2d7443db5d3393a769cded12d63dfa5f116ce409f9635c46127a",
+    "decision.csv": "a5df04f0109ec2925827795b6aa60a0c7fe11462f97d02371e954e3ef7a1ce1c",
+    "decision.json": "aa6b19068c4ccb7c8596ecce0c39e9091052eba1829efd344b1c1dadaddb8f86",
+    "frequent_routes.csv": "c72309f8ae9d413855ee5b24cc8d22e73f8932ecdc13ed4744f90df67a792e65",
+    "frequent_routes.json": "7c4f3812f76fd91ca91be12403b13beedba7be3423333472627d26b4e51516ff",
+    "manifest.txt": "83d363a48792e8735fed592eb84bc18783433328be04291cc81df1f71e1efe02",
     "network_links_run0.csv": "950643c48bdd85d6258026fdd7f19fb71b6520eae617c5726a66f419a0bd7644",
+    "network_links_run0.json": "6ea9b347cf6f341b09d992603a81c43a3b7cd9fec3f66edc46fff96adba851ad",
+    "network_links_run1.csv": "cb84f8b787837f41c96d1f331c06ac1b31e07aec3129647d5db4ee16cd6fc393",
+    "network_links_run1.json": "bd2c9811c184d8d560feb79fe7f514a06339b9981b843ada45efa8ad471965fd",
+    "network_links_run2.csv": "c7e0b76abc2756e6871a083e54a559c9ca4e5df47471c8bcb304d78cec68259f",
+    "network_links_run2.json": "80e264780f4ec059f3c8866391f63150859af61601ece72e4bfbe3b48fec008d",
+    "network_links_run3.csv": "1644af1fc52ebf952c657880d38497c37fff0f0a77a2e89f4c2498536b1f8faf",
+    "network_links_run3.json": "07141624b9c19d5fa49a9514c6fa49cbc2fe062ec24a2223603e00c171a247f0",
+    "network_links_run4.csv": "4dc4bab14a01e96edffeadf9b1b330488409b92befdb7c2404078495738014c5",
+    "network_links_run4.json": "34e02cc08a3ccbec46fd3d65baf3b5738304aad900cf937b1921013382e64138",
     "network_nodes_run0.csv": "7a5b9dacdaaaf8771d276062d5fe5f950d15e1006868bf63e3ffffa228ec0d59",
+    "network_nodes_run0.json": "9716f51a670153768313267daf1c7541ffadd34d51dc7ccd33ad56b202375c36",
+    "network_nodes_run1.csv": "7967c93cff875400935d0946151df68a8c36d7c700b198f5297fe902f70d7cbb",
+    "network_nodes_run1.json": "1c7243b5f1c16c552f2b805f86b20b9cc63747016ebc66333e54fbffc12aa546",
+    "network_nodes_run2.csv": "39097ce6675ede2ccc7ae5e037c3130622151aefdce3f049f4d6485f7ee9c9de",
+    "network_nodes_run2.json": "4fa55b02072e5e40c199ebb9a6d9196226a3caad81ee481812612888376702a6",
+    "network_nodes_run3.csv": "bd5854896a60f2215f51b778449ee0909a547cccd1321a0ae5537aaea51dec80",
+    "network_nodes_run3.json": "686fe411c513b3224d2e3900e76f9bf9c73b42675865c0c4e21e96e5d7a56077",
+    "network_nodes_run4.csv": "46da0abccc694d9f6820cd82e719823a91b26eac92e98280303de6d6767ce3ae",
+    "network_nodes_run4.json": "fdd8a51392fbd49adbf5444d1a11149d8324aeac2e9d336f4cddd242321154fb",
+    "packets.csv": "d0bff79ba43a807155abe9b1446b7a49869d5cb4f439aceda987abef7823c1c8",
+    "packets.json": "a48043dece6af53292db28218489b5eef047abb5104e815c11ed81304bf74f77",
+    "runs.csv": "88e2dad4f1679b3f871f742454fb3ae655f916935544d2961f0802100c662042",
+    "runs.json": "c1f6900993f8e4d8bb0588e7d992b27097da45e832dc5497597a5697669ebb08",
+    "study_summary.csv": "c401a5a076747d369a0d4443ba449a267fdef8ead2f18c717a9606c960661e8d",
+    "study_summary.json": "0ba5b60a3485598829069bbe0b199b4f909beccb4de13ccc0d731b66dd2d0ea4",
+    "ttest_matrix.csv": "a0c1d992557aec98593484b1876c85d2fbe32b708387f80d49a1dac2dfe0f13a",
+    "ttest_matrix.json": "5f16138622de5fbea1ef1bae7b7681b9bf1346fda5b7140d7f1e239f0bba6374",
 }
 
 
-def test_default_study_golden_bundle(tmp_path):
-    out_dir = str(tmp_path / "out")
-    write_report(run_study(StudyConfig(seed=0, out_dir=out_dir)))
+def test_default_study_golden_bundle(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    files = write_report(run_study(StudyConfig(seed=0, format="both")))
+    assert sorted(files) == sorted(GOLDEN_SHA256)
     for name, digest in GOLDEN_SHA256.items():
-        with open(os.path.join(out_dir, name), "rb") as fh:
+        with open(os.path.join("report", name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
