@@ -131,12 +131,18 @@ def load_config(
 
 
 def config_lines(config: StudyConfig) -> list[str]:
-    """Canonical key=value rendering of a resolved config."""
+    """Canonical key=value rendering of a resolved config.
+
+    Float keys render through float, so an int given for one (which validate
+    accepts) reads and hashes the same as its float spelling.
+    """
     out = []
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, ProtocolKind):
             value = value.value
+        elif type(f.default) is float:
+            value = float(value)
         out.append(f"{f.name}={value}")
     return out
 

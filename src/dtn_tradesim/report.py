@@ -12,6 +12,8 @@ import csv
 import json
 import math
 import os
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .config import StudyConfig, config_lines
 from .network import GROUND_ID, PROBE_ID, NetworkState, NodeKind
@@ -22,8 +24,15 @@ from .study import StudyReport
 # Column names, then one value tuple per row in column order.
 Table = tuple[list[str], list[tuple]]
 
+# Rows encoded per chunk: big enough that per-chunk costs vanish, small enough
+# that one chunk's encoded text stays well under a megabyte.
+_CHUNK_ROWS = 2000
 
-def _fmt(value: object) -> object:
+# Float repr text that JSON spells differently (NaN is written as null).
+_JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _csv_cell(value: object) -> object:
     """CSV cell rendering: floats via shortest round-trip repr, bools lowercase."""
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -32,41 +41,97 @@ def _fmt(value: object) -> object:
     return value
 
 
+def _json_cell(value: object) -> str:
+    """JSON cell rendering: json.dumps, with NaN written as null."""
+    if isinstance(value, float) and math.isnan(value):
+        return "null"
+    return json.dumps(value)
+
+
+def _column_type(cells: tuple) -> type | None:
+    """The exact type every cell shares, or None for a mixed column."""
+    kinds = set(map(type, cells))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _csv_columns(rows: list[tuple]):
+    """Each column of rows as CSV cells; one map per column of floats."""
+    for cells in zip(*rows):
+        kind = _column_type(cells)
+        if kind is float:
+            yield map(float.__repr__, cells)
+        elif kind is int or kind is str:
+            yield cells
+        else:
+            yield map(_csv_cell, cells)
+
+
+def _json_columns(rows: list[tuple]):
+    """Each column of rows as JSON value text; one map per single-type column."""
+    for cells in zip(*rows):
+        kind = _column_type(cells)
+        if kind is float:
+            text = list(map(float.__repr__, cells))
+            yield map(_JSON_FLOATS.get, text, text)
+        elif kind is int:
+            yield map(int.__repr__, cells)
+        elif kind is str:
+            yield map(encode_basestring_ascii, cells)
+        else:
+            yield map(_json_cell, cells)
+
+
 def route_text(route: Route) -> str:
     return "-".join(str(node) for node in route)
+
+
+class _RouteTexts(dict):
+    """route -> route_text(route), each distinct route rendered once."""
+
+    def __missing__(self, route: Route) -> str:
+        text = self[route] = route_text(route)
+        return text
 
 
 def _write_table(
     out_dir: str, name: str, columns: list[str], rows: list[tuple], fmt: str
 ) -> list[str]:
-    """Write one logical table as CSV, JSON, or both; returns file names."""
+    """Write one logical table as CSV, JSON, or both; returns file names.
+
+    The bytes are those of csv.writer over _csv_cell of each cell, and of
+    json.dump(indent=2) over one object per row with NaN as null.  Rows are
+    encoded a chunk at a time and column by column, so memory stays flat and
+    a column whose cells share one type is encoded by a single map.
+    """
     written = []
+    chunks = range(0, len(rows), _CHUNK_ROWS)
     if fmt in ("csv", "both"):
         path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            for start in chunks:
+                writer.writerows(zip(*_csv_columns(rows[start : start + _CHUNK_ROWS])))
         written.append(f"{name}.csv")
     if fmt in ("json", "both"):
         path = os.path.join(out_dir, f"{name}.json")
-        clean = [
-            {
-                k: (None if isinstance(v, float) and math.isnan(v) else v)
-                for k, v in zip(columns, row)
-            }
-            for row in rows
-        ]
+        keys = (encode_basestring_ascii(c).replace("%", "%%") for c in columns)
+        row_text = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(clean, fh, indent=2)
-            fh.write("\n")
+            fh.write("[\n" if rows else "[]")
+            for start in chunks:
+                if start:
+                    fh.write(",\n")
+                chunk = zip(*_json_columns(rows[start : start + _CHUNK_ROWS]))
+                fh.write(",\n".join(map(row_text.__mod__, chunk)))
+            fh.write("\n]\n" if rows else "\n")
         written.append(f"{name}.json")
     return written
 
 
 def _packet_rows(report: StudyReport) -> Table:
     columns = ["run", "packet", "protocol", "state", "transmission_time_hr", "route"]
+    routes = _RouteTexts()
     rows = [
         (
             i,
@@ -74,7 +139,7 @@ def _packet_rows(report: StudyReport) -> Table:
             r.protocol.value,
             r.state.value,
             r.transmission_time_hr,
-            route_text(r.route),
+            routes[r.route],
         )
         for i, run in enumerate(report.runs)
         for r in run.records
@@ -98,12 +163,11 @@ def _run_rows(report: StudyReport) -> Table:
 
 def _crm_rows(report: StudyReport) -> Table:
     columns = ["run", "protocol", "sample_index", "crm_hr"]
-    rows = [
-        (i, p.value, k, float(value))
-        for i, run in enumerate(report.runs)
-        for p in ProtocolKind
-        for k, value in enumerate(run.summaries[p].crm_hr, start=1)
-    ]
+    rows = []
+    for i, run in enumerate(report.runs):
+        for p in ProtocolKind:
+            crm = run.summaries[p].crm_hr.tolist()
+            rows += zip(repeat(i), repeat(p.value), range(1, len(crm) + 1), crm)
     return columns, rows
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import heapq
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 
@@ -122,3 +125,45 @@ def reference_dijkstra_path(
                 best[v] = candidate
                 heapq.heappush(heap, candidate)
     raise RuntimeError(f"no path from {src} to {dst}")
+
+
+def _reference_csv_cell(value: object) -> object:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def reference_write_table(
+    out_dir: str, name: str, columns: list[str], rows: list[tuple], fmt: str
+) -> list[str]:
+    """Cell-by-cell stdlib table writer: the byte reference for report tables.
+
+    CSV goes through csv.writer one row at a time with floats as repr and
+    bools lowercase; JSON through json.dump(indent=2) over one dict per row,
+    with NaN replaced by None.
+    """
+    written = []
+    if fmt in ("csv", "both"):
+        path = os.path.join(out_dir, f"{name}.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_reference_csv_cell(v) for v in row])
+        written.append(f"{name}.csv")
+    if fmt in ("json", "both"):
+        path = os.path.join(out_dir, f"{name}.json")
+        clean = [
+            {
+                k: (None if isinstance(v, float) and math.isnan(v) else v)
+                for k, v in zip(columns, row)
+            }
+            for row in rows
+        ]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(clean, fh, indent=2)
+            fh.write("\n")
+        written.append(f"{name}.json")
+    return written

@@ -140,6 +140,14 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) != config_hash(c)
 
 
+def test_int_and_float_spellings_of_a_float_key_hash_alike():
+    as_int = StudyConfig(end_to_end_km=10**9, min_coord_km=10_000)
+    as_float = StudyConfig(end_to_end_km=1e9, min_coord_km=1e4)
+    assert config_lines(as_int) == config_lines(as_float)
+    assert config_hash(as_int) == config_hash(as_float)
+    assert "end_to_end_km=1000000000.0" in config_lines(as_int)
+
+
 def test_config_lines_cover_every_field():
     lines = config_lines(StudyConfig())
     keys = {line.split("=", 1)[0] for line in lines}

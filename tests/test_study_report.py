@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from dtn_tradesim.config import StudyConfig
-from dtn_tradesim.report import write_report
+from dtn_tradesim.report import _CHUNK_ROWS, _write_table, write_report
 from dtn_tradesim.routing import ProtocolKind
 from dtn_tradesim.study import run_seed, run_study
+
+from helpers import reference_write_table
 
 
 def small_config(**kw):
@@ -212,6 +214,50 @@ def test_different_seed_changes_packets(tmp_path):
     with open(out_b / "packets.csv", "rb") as fh:
         data_b = fh.read()
     assert data_a != data_b
+
+
+def adversarial_tables():
+    """name -> (columns, rows) covering every encoder path of the table writer."""
+    inf = math.inf
+    floats = [math.nan, inf, -inf, -0.0, 0.0, 1e-300, 5e-324, 0.1, 1e22, -2.5]
+    texts = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "caf\u00e9 \U0001f600", ""]
+    tables = {
+        "floats": (
+            ["pure", "with_numpy", "numpy_only"],
+            [(v, np.float64(v) if k % 2 else v, np.float64(v)) for k, v in enumerate(floats)],
+        ),
+        "mixed": (
+            ["flag", "maybe", "int_or_float", "big_int", "flag_or_none"],
+            [
+                (True, None, 1, 2**70, None),
+                (False, None, 2.5, -(2**70), True),
+                (True, None, -3, 0, False),
+                (False, None, math.nan, -1, None),
+            ],
+        ),
+        "text": (
+            ["text", "share %", 'quoted "key"', "\u00fcber"],
+            [(t, t, len(t), t.upper()) for t in texts],
+        ),
+        "single_column": (["only"], [("",), ("a",), ("",)]),
+        "empty": (["run", "value"], []),
+    }
+    for count in (_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1):
+        rows = [(k, k * 0.1 if k % 7 else math.nan, f"0-{k % 5}-1") for k in range(count)]
+        tables[f"rows_{count}"] = (["k", "value", "route"], rows)
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(adversarial_tables()))
+def test_write_table_matches_stdlib_reference(tmp_path, name):
+    columns, rows = adversarial_tables()[name]
+    ours, reference = tmp_path / "ours", tmp_path / "reference"
+    ours.mkdir()
+    reference.mkdir()
+    files = _write_table(str(ours), name, columns, rows, "both")
+    assert files == reference_write_table(str(reference), name, columns, rows, "both")
+    for file in files:
+        assert (ours / file).read_bytes() == (reference / file).read_bytes(), file
 
 
 # sha256 of every file of the default seed-0 bundle in both formats, written
