@@ -9,6 +9,7 @@ timestamps.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -85,14 +86,6 @@ def route_text(route: Route) -> str:
     return "-".join(str(node) for node in route)
 
 
-class _RouteTexts(dict):
-    """route -> route_text(route), each distinct route rendered once."""
-
-    def __missing__(self, route: Route) -> str:
-        text = self[route] = route_text(route)
-        return text
-
-
 def _write_table(
     out_dir: str, name: str, columns: list[str], rows: list[tuple], fmt: str
 ) -> list[str]:
@@ -131,7 +124,7 @@ def _write_table(
 
 def _packet_rows(report: StudyReport) -> Table:
     columns = ["run", "packet", "protocol", "state", "transmission_time_hr", "route"]
-    routes = _RouteTexts()
+    text = functools.cache(route_text)  # each distinct route rendered once
     rows = [
         (
             i,
@@ -139,7 +132,7 @@ def _packet_rows(report: StudyReport) -> Table:
             r.protocol.value,
             r.state.value,
             r.transmission_time_hr,
-            routes[r.route],
+            text(r.route),
         )
         for i, run in enumerate(report.runs)
         for r in run.records
