@@ -12,6 +12,14 @@ from .routing import ProtocolKind
 FORMATS = ("csv", "json", "both")
 
 
+def _finite_number(value: object) -> bool:
+    """True for an int or float that converts to a finite float."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for any float
+        return False
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything one reproducible study needs.
@@ -39,8 +47,7 @@ class StudyConfig:
             value = getattr(self, f.name)
             kind = type(f.default)
             if kind is float:
-                finite = isinstance(value, float) and math.isfinite(value)
-                ok = finite or isinstance(value, int)
+                ok = _finite_number(value)
             else:
                 ok = isinstance(value, kind)
             if isinstance(value, bool) or not ok:

@@ -8,13 +8,17 @@ timestamps.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
 import math
 import os
+from collections.abc import Iterable
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .config import StudyConfig, config_lines
 from .network import GROUND_ID, PROBE_ID, NetworkState, NodeKind
@@ -22,8 +26,9 @@ from .routing import ProtocolKind, Route
 from .stats import METRIC_NAMES
 from .study import StudyReport
 
-# Column names, then one value tuple per row in column order.
-Table = tuple[list[str], list[tuple]]
+# Column names, then the rows in blocks: lists of one value tuple per row, in
+# column order.
+Table = tuple[list[str], Iterable[list[tuple]]]
 
 # Rows encoded per chunk: big enough that per-chunk costs vanish, small enough
 # that one chunk's encoded text stays well under a megabyte.
@@ -87,38 +92,43 @@ def route_text(route: Route) -> str:
 
 
 def _write_table(
-    out_dir: str, name: str, columns: list[str], rows: list[tuple], fmt: str
+    out_dir: str, name: str, columns: list[str], blocks: Iterable[list[tuple]], fmt: str
 ) -> list[str]:
     """Write one logical table as CSV, JSON, or both; returns file names.
 
     The bytes are those of csv.writer over _csv_cell of each cell, and of
-    json.dump(indent=2) over one object per row with NaN as null.  Rows are
-    encoded a chunk at a time and column by column, so memory stays flat and
-    a column whose cells share one type is encoded by a single map.
+    json.dump(indent=2) over one object per row with NaN as null.  blocks is
+    consumed once, and each block is written to every format and dropped
+    before the next is taken, so a table built lazily a block at a time is
+    never held whole.  Rows are encoded a chunk at a time and column by
+    column, so a column whose cells share one type is encoded by a single map.
     """
-    written = []
-    chunks = range(0, len(rows), _CHUNK_ROWS)
-    if fmt in ("csv", "both"):
-        path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    written = [f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
+    with contextlib.ExitStack() as stack:
+        writer = json_fh = None
+        if fmt in ("csv", "both"):
+            path = os.path.join(out_dir, f"{name}.csv")
+            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            for start in chunks:
-                writer.writerows(zip(*_csv_columns(rows[start : start + _CHUNK_ROWS])))
-        written.append(f"{name}.csv")
-    if fmt in ("json", "both"):
-        path = os.path.join(out_dir, f"{name}.json")
-        keys = (encode_basestring_ascii(c).replace("%", "%%") for c in columns)
-        row_text = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("[\n" if rows else "[]")
-            for start in chunks:
-                if start:
-                    fh.write(",\n")
-                chunk = zip(*_json_columns(rows[start : start + _CHUNK_ROWS]))
-                fh.write(",\n".join(map(row_text.__mod__, chunk)))
-            fh.write("\n]\n" if rows else "\n")
-        written.append(f"{name}.json")
+        if fmt in ("json", "both"):
+            path = os.path.join(out_dir, f"{name}.json")
+            json_fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+            keys = (encode_basestring_ascii(c).replace("%", "%%") for c in columns)
+            row_text = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
+        separator = "[\n"
+        for block in blocks:
+            for start in range(0, len(block), _CHUNK_ROWS):
+                chunk = block[start : start + _CHUNK_ROWS]
+                if writer:
+                    writer.writerows(zip(*_csv_columns(chunk)))
+                if json_fh:
+                    json_fh.write(separator)
+                    json_fh.write(",\n".join(map(row_text.__mod__, zip(*_json_columns(chunk)))))
+                    separator = ",\n"
+            block = chunk = None  # free this block before the next is built
+        if json_fh:
+            json_fh.write("[]\n" if separator == "[\n" else "\n]\n")
     return written
 
 
@@ -137,7 +147,7 @@ def _packet_rows(report: StudyReport) -> Table:
         for i, run in enumerate(report.runs)
         for r in run.records
     ]
-    return columns, rows
+    return columns, [rows]
 
 
 def _run_rows(report: StudyReport) -> Table:
@@ -151,7 +161,7 @@ def _run_rows(report: StudyReport) -> Table:
             rows.append(
                 (i, p.value, s.percent_error, s.time_mean_hr, s.time_std_hr, s.time_sem_hr)
             )
-    return columns, rows
+    return columns, [rows]
 
 
 def _crm_rows(report: StudyReport) -> Table:
@@ -161,7 +171,7 @@ def _crm_rows(report: StudyReport) -> Table:
         for p in ProtocolKind:
             crm = run.summaries[p].crm_hr.tolist()
             rows += zip(repeat(i), repeat(p.value), range(1, len(crm) + 1), crm)
-    return columns, rows
+    return columns, [rows]
 
 
 def _study_rows(report: StudyReport) -> Table:
@@ -172,7 +182,7 @@ def _study_rows(report: StudyReport) -> Table:
         for p in ProtocolKind:
             s = cells[p]
             rows.append((p.value, metric, s.mean, s.std, s.sem, s.n))
-    return columns, rows
+    return columns, [rows]
 
 
 def _ttest_cells(report: StudyReport):
@@ -192,7 +202,7 @@ def _ttest_rows(report: StudyReport) -> Table:
         (metric, a.value, b.value, r.t, r.df, r.p, r.significant)
         for metric, a, b, r in _ttest_cells(report)
     ]
-    return columns, rows
+    return columns, [rows]
 
 
 def _decision_rows(report: StudyReport) -> Table:
@@ -214,7 +224,7 @@ def _decision_rows(report: StudyReport) -> Table:
                 position[p],
             )
         )
-    return columns, rows
+    return columns, [rows]
 
 
 def _route_rows(report: StudyReport) -> Table:
@@ -223,25 +233,42 @@ def _route_rows(report: StudyReport) -> Table:
         (f.run_index, f.protocol.value, route_text(f.route), f.frequency)
         for f in report.frequent_routes
     ]
-    return columns, rows
+    return columns, [rows]
 
 
-def _node_rows(network: NetworkState) -> Table:
-    columns = ["node_id", "kind", "x_km", "y_km"]
+def _node_rows(report: StudyReport) -> Table:
+    """Every run's nodes by id, one block per run (see _link_rows)."""
+    columns = ["run", "node_id", "kind", "x_km", "y_km"]
     kinds = {PROBE_ID: NodeKind.PROBE, GROUND_ID: NodeKind.GROUND}
-    xy = enumerate(network.positions.tolist())
-    return columns, [(i, kinds.get(i, NodeKind.RELAY).value, x, y) for i, (x, y) in xy]
+    blocks = (
+        [
+            (i, v, kinds.get(v, NodeKind.RELAY).value, x, y)
+            for v, (x, y) in enumerate(run.network.positions.tolist())
+        ]
+        for i, run in enumerate(report.runs)
+    )
+    return columns, blocks
 
 
-def _link_rows(network: NetworkState) -> Table:
-    columns = ["node_a", "node_b", "default_distance_km", "default_quality"]
-    distance = network.default_distance.tolist()
-    quality = network.default_quality.tolist()
-    n = network.node_count
-    rows = [
-        (a, b, distance[a][b], quality[a][b]) for a in range(n) for b in range(a + 1, n)
-    ]
-    return columns, rows
+def _link_rows(report: StudyReport) -> Table:
+    """Every run's links in draw order, one block per run.
+
+    Blocks are built only when the writer asks for them, so only one run's
+    rows are held at a time and memory does not grow with run_count.
+    """
+    columns = ["run", "node_a", "node_b", "default_distance_km", "default_quality"]
+    blocks = (
+        list(zip(repeat(i), *_link_columns(run.network))) for i, run in enumerate(report.runs)
+    )
+    return columns, blocks
+
+
+def _link_columns(network: NetworkState) -> tuple[list, ...]:
+    """Both node ids, default distance and quality of each link, in draw order."""
+    links = network.links
+    a, b = np.nonzero(links)
+    distance = network.default_distance[links].tolist()
+    return a.tolist(), b.tolist(), distance, network.default_quality[links].tolist()
 
 
 def write_report(report: StudyReport) -> list[str]:
@@ -250,23 +277,22 @@ def write_report(report: StudyReport) -> list[str]:
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    # (file name, row builder, its argument); each table is built just before
-    # it is written, so only one table's rows are held at a time.
+    # Each table is built just before it is written, so only one table's rows
+    # are held at a time (the network tables only one run's).
     tables = [
-        ("packets", _packet_rows, report),
-        ("runs", _run_rows, report),
-        ("crm", _crm_rows, report),
-        ("study_summary", _study_rows, report),
-        ("ttest_matrix", _ttest_rows, report),
-        ("decision", _decision_rows, report),
-        ("frequent_routes", _route_rows, report),
+        ("packets", _packet_rows),
+        ("runs", _run_rows),
+        ("crm", _crm_rows),
+        ("study_summary", _study_rows),
+        ("ttest_matrix", _ttest_rows),
+        ("decision", _decision_rows),
+        ("frequent_routes", _route_rows),
+        ("network_nodes", _node_rows),
+        ("network_links", _link_rows),
     ]
-    for i, run in enumerate(report.runs):
-        tables.append((f"network_nodes_run{i}", _node_rows, run.network))
-        tables.append((f"network_links_run{i}", _link_rows, run.network))
     files: list[str] = []
-    for name, build, source in tables:
-        files += _write_table(out_dir, name, *build(source), config.format)
+    for name, build in tables:
+        files += _write_table(out_dir, name, *build(report), config.format)
 
     degenerate = [
         f"{metric} {a.value}/{b.value}"

@@ -143,7 +143,11 @@ def next_hop(
     _check_endpoints(network, current, dst)
     if protocol is ProtocolKind.BUNDLE:
         return _bundle_next_hop(network, current, dst)
-    return dijkstra_path(network, PROTOCOL_COST_KIND[protocol], current, dst)[1]
+    parent = _search(network, PROTOCOL_COST_KIND[protocol], current, dst)
+    hop = dst
+    while parent[hop] != current:
+        hop = parent[hop]
+    return hop
 
 
 def most_frequent_path(routes: Iterable[Sequence[int]]) -> Route:

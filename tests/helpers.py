@@ -13,6 +13,8 @@ import numpy as np
 
 from dtn_tradesim.config import StudyConfig
 from dtn_tradesim.network import (
+    GROUND_ID,
+    PROBE_ID,
     CostKind,
     NetworkState,
     NodeKind,
@@ -167,3 +169,27 @@ def reference_write_table(
             fh.write("\n")
         written.append(f"{name}.json")
     return written
+
+
+def reference_node_rows(network: NetworkState) -> tuple[list[str], list[tuple]]:
+    """One network's node table: the reference for each run's slice.
+
+    These are the rows the bundle wrote to a file per run before its network
+    tables gained a run column.
+    """
+    columns = ["node_id", "kind", "x_km", "y_km"]
+    kinds = {PROBE_ID: NodeKind.PROBE, GROUND_ID: NodeKind.GROUND}
+    xy = enumerate(network.positions.tolist())
+    return columns, [(i, kinds.get(i, NodeKind.RELAY).value, x, y) for i, (x, y) in xy]
+
+
+def reference_link_rows(network: NetworkState) -> tuple[list[str], list[tuple]]:
+    """One network's link table, pair by pair from n x n lists (a < b, row-major)."""
+    columns = ["node_a", "node_b", "default_distance_km", "default_quality"]
+    distance = network.default_distance.tolist()
+    quality = network.default_quality.tolist()
+    n = network.node_count
+    rows = [
+        (a, b, distance[a][b], quality[a][b]) for a in range(n) for b in range(a + 1, n)
+    ]
+    return columns, rows

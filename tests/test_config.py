@@ -109,6 +109,9 @@ def test_override_strings_are_converted():
         {"run_count": True},
         {"sigma_frac": False},
         {"seed": None},
+        {"end_to_end_km": 10**400},
+        {"sigma_frac": 10**400},
+        {"beta_a": 10**400},
     ],
 )
 def test_invalid_values_rejected(overrides):

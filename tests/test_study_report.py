@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dtn_tradesim.report import _CHUNK_ROWS, _write_table, write_report
 from dtn_tradesim.routing import ProtocolKind
 from dtn_tradesim.study import run_seed, run_study
 
-from helpers import reference_write_table
+from helpers import reference_link_rows, reference_node_rows, reference_write_table
 
 
 def small_config(**kw):
@@ -91,8 +92,8 @@ def expected_headers():
         "ttest_matrix.csv": ["metric", "protocol_a", "protocol_b", "t", "df", "p", "significant"],
         "decision.csv": ["protocol", "v_percent_error", "v_transmission_time", "mavf", "mavf_corrected", "rank"],
         "frequent_routes.csv": ["run", "protocol", "route", "frequency"],
-        "network_nodes_run0.csv": ["node_id", "kind", "x_km", "y_km"],
-        "network_links_run0.csv": ["node_a", "node_b", "default_distance_km", "default_quality"],
+        "network_nodes.csv": ["run", "node_id", "kind", "x_km", "y_km"],
+        "network_links.csv": ["run", "node_a", "node_b", "default_distance_km", "default_quality"],
     }
 
 
@@ -254,16 +255,69 @@ def test_write_table_matches_stdlib_reference(tmp_path, name):
     ours, reference = tmp_path / "ours", tmp_path / "reference"
     ours.mkdir()
     reference.mkdir()
-    files = _write_table(str(ours), name, columns, rows, "both")
+    third = len(rows) // 3  # blocks end anywhere, and may be empty
+    blocks = [rows[:third], [], rows[third:]]
+    files = _write_table(str(ours), name, columns, blocks, "both")
     assert files == reference_write_table(str(reference), name, columns, rows, "both")
     for file in files:
         assert (ours / file).read_bytes() == (reference / file).read_bytes(), file
 
 
+def run_slices(ext, data):
+    """Split a merged network table's bytes by run and drop the run column.
+
+    Each slice is laid out as a table file of that run alone: the CSV keeps
+    the header, and the JSON is an array of that run's objects.  Runs must
+    appear in ascending blocks.
+    """
+    text = data.decode("utf-8")
+    parts, runs = {}, []
+    if ext == "csv":
+        header, *lines = text.splitlines(keepends=True)
+        assert header.startswith("run,")
+        for line in lines:
+            run, _, rest = line.partition(",")
+            runs.append(int(run))
+            parts.setdefault(int(run), [header[len("run,") :]]).append(rest)
+        joined = {run: "".join(p) for run, p in parts.items()}
+    else:
+        head, sep, tail = "[\n  {\n", "\n  },\n  {\n", "\n  }\n]\n"
+        assert text.startswith(head) and text.endswith(tail)
+        for obj in text[len(head) : -len(tail)].split(sep):
+            first, _, rest = obj.partition("\n")
+            run = int(re.fullmatch(r'    "run": (\d+),', first)[1])
+            runs.append(run)
+            parts.setdefault(run, []).append(rest)
+        joined = {run: head + sep.join(p) + tail for run, p in parts.items()}
+    assert runs == sorted(runs)
+    return {run: part.encode("utf-8") for run, part in joined.items()}
+
+
+@pytest.mark.parametrize("relay_count", [6, 1])
+def test_network_tables_split_into_reference_per_run_files(tmp_path, relay_count):
+    cfg = small_config(
+        run_count=3, packet_count=5, relay_count=relay_count, format="both",
+        out_dir=str(tmp_path / "bundle"),
+    )
+    report = run_study(cfg)
+    write_report(report)
+    for table, reference_rows in (
+        ("network_nodes", reference_node_rows),
+        ("network_links", reference_link_rows),
+    ):
+        for ext in ("csv", "json"):
+            slices = run_slices(ext, (tmp_path / "bundle" / f"{table}.{ext}").read_bytes())
+            assert list(slices) == list(range(cfg.run_count))
+            for i, run in enumerate(report.runs):
+                name = f"{table}_run{i}"
+                reference_write_table(str(tmp_path), name, *reference_rows(run.network), ext)
+                assert slices[i] == (tmp_path / f"{name}.{ext}").read_bytes(), name
+
+
 # sha256 of every file of the default seed-0 bundle in both formats, written
 # to the default out_dir so that the manifest is stable.  Over all of them,
 # `sha256sum * | sha256sum` in the bundle directory gives
-# e1977345ed8e3f5e0ad4f1d5a88ed1e8acf3c690e5a4812de135c8c928cd3c7f.
+# 7e3547551e2cdb1f4ce4805910e82b3a944d38276b9edfb48c80f4856d27fa29.
 # A deliberate change to the model or its random streams updates them and
 # declares the change.
 GOLDEN_SHA256 = {
@@ -273,7 +327,26 @@ GOLDEN_SHA256 = {
     "decision.json": "aa6b19068c4ccb7c8596ecce0c39e9091052eba1829efd344b1c1dadaddb8f86",
     "frequent_routes.csv": "c72309f8ae9d413855ee5b24cc8d22e73f8932ecdc13ed4744f90df67a792e65",
     "frequent_routes.json": "7c4f3812f76fd91ca91be12403b13beedba7be3423333472627d26b4e51516ff",
-    "manifest.txt": "83d363a48792e8735fed592eb84bc18783433328be04291cc81df1f71e1efe02",
+    "manifest.txt": "d0f32e38e143ea739d1798a46ac1f0180251c708eb289d9477dc17c62c82873b",
+    "network_links.csv": "eb76e196cfc565cdb75b557e95b77d39851d228c90d14407c30d1a99af1bea95",
+    "network_links.json": "83cdcbb1f605abb85e0fa4ea1eb5001d2819993c9d2c7f6c2d8128eefd8af59f",
+    "network_nodes.csv": "a454c9461222aadb82ac818ac961e7a6d5a7ddd411d33c7bf4da4e246905ce89",
+    "network_nodes.json": "10f89a0c7bd8c1a1a74f1fde5ae40d46c4efd4192a1d3d63ac62074d64053ff9",
+    "packets.csv": "d0bff79ba43a807155abe9b1446b7a49869d5cb4f439aceda987abef7823c1c8",
+    "packets.json": "a48043dece6af53292db28218489b5eef047abb5104e815c11ed81304bf74f77",
+    "runs.csv": "88e2dad4f1679b3f871f742454fb3ae655f916935544d2961f0802100c662042",
+    "runs.json": "c1f6900993f8e4d8bb0588e7d992b27097da45e832dc5497597a5697669ebb08",
+    "study_summary.csv": "c401a5a076747d369a0d4443ba449a267fdef8ead2f18c717a9606c960661e8d",
+    "study_summary.json": "0ba5b60a3485598829069bbe0b199b4f909beccb4de13ccc0d731b66dd2d0ea4",
+    "ttest_matrix.csv": "a0c1d992557aec98593484b1876c85d2fbe32b708387f80d49a1dac2dfe0f13a",
+    "ttest_matrix.json": "5f16138622de5fbea1ef1bae7b7681b9bf1346fda5b7140d7f1e239f0bba6374",
+}
+
+
+# sha256 of the per-run network files the bundle held before the network
+# tables gained a run column; each run's slice of the merged tables, without
+# that column, must still hash to them.
+PER_RUN_NETWORK_SHA256 = {
     "network_links_run0.csv": "950643c48bdd85d6258026fdd7f19fb71b6520eae617c5726a66f419a0bd7644",
     "network_links_run0.json": "6ea9b347cf6f341b09d992603a81c43a3b7cd9fec3f66edc46fff96adba851ad",
     "network_links_run1.csv": "cb84f8b787837f41c96d1f331c06ac1b31e07aec3129647d5db4ee16cd6fc393",
@@ -294,14 +367,6 @@ GOLDEN_SHA256 = {
     "network_nodes_run3.json": "686fe411c513b3224d2e3900e76f9bf9c73b42675865c0c4e21e96e5d7a56077",
     "network_nodes_run4.csv": "46da0abccc694d9f6820cd82e719823a91b26eac92e98280303de6d6767ce3ae",
     "network_nodes_run4.json": "fdd8a51392fbd49adbf5444d1a11149d8324aeac2e9d336f4cddd242321154fb",
-    "packets.csv": "d0bff79ba43a807155abe9b1446b7a49869d5cb4f439aceda987abef7823c1c8",
-    "packets.json": "a48043dece6af53292db28218489b5eef047abb5104e815c11ed81304bf74f77",
-    "runs.csv": "88e2dad4f1679b3f871f742454fb3ae655f916935544d2961f0802100c662042",
-    "runs.json": "c1f6900993f8e4d8bb0588e7d992b27097da45e832dc5497597a5697669ebb08",
-    "study_summary.csv": "c401a5a076747d369a0d4443ba449a267fdef8ead2f18c717a9606c960661e8d",
-    "study_summary.json": "0ba5b60a3485598829069bbe0b199b4f909beccb4de13ccc0d731b66dd2d0ea4",
-    "ttest_matrix.csv": "a0c1d992557aec98593484b1876c85d2fbe32b708387f80d49a1dac2dfe0f13a",
-    "ttest_matrix.json": "5f16138622de5fbea1ef1bae7b7681b9bf1346fda5b7140d7f1e239f0bba6374",
 }
 
 
@@ -312,3 +377,11 @@ def test_default_study_golden_bundle(tmp_path, monkeypatch):
     for name, digest in GOLDEN_SHA256.items():
         with open(os.path.join("report", name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+    per_run = {}
+    for table in ("network_nodes", "network_links"):
+        for ext in ("csv", "json"):
+            with open(os.path.join("report", f"{table}.{ext}"), "rb") as fh:
+                slices = run_slices(ext, fh.read())
+            for i, part in slices.items():
+                per_run[f"{table}_run{i}.{ext}"] = hashlib.sha256(part).hexdigest()
+    assert per_run == PER_RUN_NETWORK_SHA256
