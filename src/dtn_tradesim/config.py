@@ -20,6 +20,17 @@ def _finite_number(value: object) -> bool:
         return False
 
 
+def _shown(value: object) -> str:
+    """A value's repr for an error message, or its kind for an int no float can hold.
+
+    Such an int may be too long to print at all: CPython refuses to convert
+    one of more than 4300 digits to text.
+    """
+    if isinstance(value, int) and not _finite_number(value):
+        return "an int too large for a float"
+    return repr(value)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything one reproducible study needs.
@@ -52,25 +63,27 @@ class StudyConfig:
                 ok = isinstance(value, kind)
             if isinstance(value, bool) or not ok:
                 expected = "a finite number" if kind is float else kind.__name__
-                raise ConfigurationError(f"{f.name} must be {expected}, got {value!r}")
+                raise ConfigurationError(f"{f.name} must be {expected}, got {_shown(value)}")
         if self.packet_count < 1:
-            raise ConfigurationError(f"packet_count must be >= 1, got {self.packet_count}")
+            raise ConfigurationError(f"packet_count must be >= 1, got {_shown(self.packet_count)}")
         if self.run_count < 1:
-            raise ConfigurationError(f"run_count must be >= 1, got {self.run_count}")
+            raise ConfigurationError(f"run_count must be >= 1, got {_shown(self.run_count)}")
         if self.sigma_frac < 0:
             raise ConfigurationError(f"sigma_frac must be >= 0, got {self.sigma_frac}")
         if not 0 <= self.seed < 2**64:
-            raise ConfigurationError(f"seed must fit an unsigned 64-bit int, got {self.seed}")
+            raise ConfigurationError(
+                f"seed must fit an unsigned 64-bit int, got {_shown(self.seed)}"
+            )
         if self.format not in FORMATS:
             raise ConfigurationError(
                 f"format must be one of {', '.join(FORMATS)}, got {self.format!r}"
             )
         if self.step_budget_factor < 1:
             raise ConfigurationError(
-                f"step_budget_factor must be >= 1, got {self.step_budget_factor}"
+                f"step_budget_factor must be >= 1, got {_shown(self.step_budget_factor)}"
             )
         if self.relay_count < 1:
-            raise ConfigurationError(f"relay_count must be >= 1, got {self.relay_count}")
+            raise ConfigurationError(f"relay_count must be >= 1, got {_shown(self.relay_count)}")
         if self.min_coord_km <= 0:
             raise ConfigurationError(f"min_coord_km must be > 0, got {self.min_coord_km}")
         if self.end_to_end_km <= 2 * self.min_coord_km:

@@ -257,18 +257,15 @@ def _link_rows(report: StudyReport) -> Table:
     rows are held at a time and memory does not grow with run_count.
     """
     columns = ["run", "node_a", "node_b", "default_distance_km", "default_quality"]
-    blocks = (
-        list(zip(repeat(i), *_link_columns(run.network))) for i, run in enumerate(report.runs)
-    )
-    return columns, blocks
 
+    def block(i: int, network: NetworkState) -> list[tuple]:
+        links = network.links
+        a, b = np.nonzero(links)
+        distance = network.default_distance[links].tolist()
+        quality = network.default_quality[links].tolist()
+        return list(zip(repeat(i), a.tolist(), b.tolist(), distance, quality))
 
-def _link_columns(network: NetworkState) -> tuple[list, ...]:
-    """Both node ids, default distance and quality of each link, in draw order."""
-    links = network.links
-    a, b = np.nonzero(links)
-    distance = network.default_distance[links].tolist()
-    return a.tolist(), b.tolist(), distance, network.default_quality[links].tolist()
+    return columns, (block(i, run.network) for i, run in enumerate(report.runs))
 
 
 def write_report(report: StudyReport) -> list[str]:

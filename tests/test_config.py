@@ -112,11 +112,21 @@ def test_override_strings_are_converted():
         {"end_to_end_km": 10**400},
         {"sigma_frac": 10**400},
         {"beta_a": 10**400},
+        {"end_to_end_km": 10**5000},
+        {"seed": 10**5000},
+        {"packet_count": -(10**5000)},
+        {"format": 10**5000},
     ],
 )
 def test_invalid_values_rejected(overrides):
     with pytest.raises(ConfigurationError):
         load_config(None, overrides)
+
+
+@pytest.mark.parametrize("key", ["end_to_end_km", "seed"])
+def test_int_too_large_for_a_float_is_named_not_printed(key):
+    with pytest.raises(ConfigurationError, match="got an int too large for a float$"):
+        load_config(None, {key: 10**400})
 
 
 def test_int_accepted_for_float_key():

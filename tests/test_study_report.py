@@ -252,15 +252,20 @@ def adversarial_tables():
 @pytest.mark.parametrize("name", sorted(adversarial_tables()))
 def test_write_table_matches_stdlib_reference(tmp_path, name):
     columns, rows = adversarial_tables()[name]
-    ours, reference = tmp_path / "ours", tmp_path / "reference"
-    ours.mkdir()
+    reference = tmp_path / "reference"
     reference.mkdir()
-    third = len(rows) // 3  # blocks end anywhere, and may be empty
-    blocks = [rows[:third], [], rows[third:]]
-    files = _write_table(str(ours), name, columns, blocks, "both")
-    assert files == reference_write_table(str(reference), name, columns, rows, "both")
-    for file in files:
-        assert (ours / file).read_bytes() == (reference / file).read_bytes(), file
+    files = reference_write_table(str(reference), name, columns, rows, "both")
+    third = len(rows) // 3
+    layouts = {
+        "whole": [rows],  # one block, so chunks end at the _CHUNK_ROWS edges
+        "split": [rows[:third], [], rows[third:]],  # blocks end anywhere, and may be empty
+    }
+    for layout, blocks in layouts.items():
+        ours = tmp_path / layout
+        ours.mkdir()
+        assert _write_table(str(ours), name, columns, blocks, "both") == files, layout
+        for file in files:
+            assert (ours / file).read_bytes() == (reference / file).read_bytes(), (layout, file)
 
 
 def run_slices(ext, data):
