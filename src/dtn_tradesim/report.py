@@ -15,20 +15,19 @@ import json
 import math
 import os
 from collections.abc import Iterable
-from itertools import repeat
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .config import StudyConfig, config_lines
-from .network import GROUND_ID, PROBE_ID, NetworkState, NodeKind
+from .network import GROUND_ID, PROBE_ID, NodeKind
 from .routing import ProtocolKind, Route
 from .stats import METRIC_NAMES
 from .study import StudyReport
 
-# Column names, then the rows in blocks: lists of one value tuple per row, in
-# column order.
-Table = tuple[list[str], Iterable[list[tuple]]]
+# Column names, then the rows: one value tuple per row, in column order.
+Table = tuple[list[str], Iterable[tuple]]
 
 # Rows encoded per chunk: big enough that per-chunk costs vanish, small enough
 # that one chunk's encoded text stays well under a megabyte.
@@ -60,31 +59,27 @@ def _column_type(cells: tuple) -> type | None:
     return kinds.pop() if len(kinds) == 1 else None
 
 
-def _csv_columns(rows: list[tuple]):
-    """Each column of rows as CSV cells; one map per column of floats."""
-    for cells in zip(*rows):
-        kind = _column_type(cells)
-        if kind is float:
-            yield map(float.__repr__, cells)
-        elif kind is int or kind is str:
-            yield cells
-        else:
-            yield map(_csv_cell, cells)
+def _csv_column(cells: tuple):
+    """One column's cells as CSV cells; a single map for a column of floats."""
+    kind = _column_type(cells)
+    if kind is float:
+        return map(float.__repr__, cells)
+    if kind is int or kind is str:
+        return cells
+    return map(_csv_cell, cells)
 
 
-def _json_columns(rows: list[tuple]):
-    """Each column of rows as JSON value text; one map per single-type column."""
-    for cells in zip(*rows):
-        kind = _column_type(cells)
-        if kind is float:
-            text = list(map(float.__repr__, cells))
-            yield map(_JSON_FLOATS.get, text, text)
-        elif kind is int:
-            yield map(int.__repr__, cells)
-        elif kind is str:
-            yield map(encode_basestring_ascii, cells)
-        else:
-            yield map(_json_cell, cells)
+def _json_column(cells: tuple):
+    """One column's cells as JSON value text; a single map for a one-type column."""
+    kind = _column_type(cells)
+    if kind is float:
+        text = list(map(float.__repr__, cells))
+        return map(_JSON_FLOATS.get, text, text)
+    if kind is int:
+        return map(int.__repr__, cells)
+    if kind is str:
+        return map(encode_basestring_ascii, cells)
+    return map(_json_cell, cells)
 
 
 def route_text(route: Route) -> str:
@@ -92,16 +87,16 @@ def route_text(route: Route) -> str:
 
 
 def _write_table(
-    out_dir: str, name: str, columns: list[str], blocks: Iterable[list[tuple]], fmt: str
+    out_dir: str, name: str, columns: list[str], rows: Iterable[tuple], fmt: str
 ) -> list[str]:
     """Write one logical table as CSV, JSON, or both; returns file names.
 
     The bytes are those of csv.writer over _csv_cell of each cell, and of
-    json.dump(indent=2) over one object per row with NaN as null.  blocks is
-    consumed once, and each block is written to every format and dropped
-    before the next is taken, so a table built lazily a block at a time is
-    never held whole.  Rows are encoded a chunk at a time and column by
-    column, so a column whose cells share one type is encoded by a single map.
+    json.dump(indent=2) over one object per row with NaN as null.  rows is
+    consumed once, _CHUNK_ROWS at a time, so of a table built lazily only one
+    chunk is held.  Each chunk is transposed once and both formats encode it
+    column by column, so a column whose cells share one type is encoded by a
+    single map.
     """
     written = [f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
     with contextlib.ExitStack() as stack:
@@ -117,16 +112,15 @@ def _write_table(
             keys = (encode_basestring_ascii(c).replace("%", "%%") for c in columns)
             row_text = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
         separator = "[\n"
-        for block in blocks:
-            for start in range(0, len(block), _CHUNK_ROWS):
-                chunk = block[start : start + _CHUNK_ROWS]
-                if writer:
-                    writer.writerows(zip(*_csv_columns(chunk)))
-                if json_fh:
-                    json_fh.write(separator)
-                    json_fh.write(",\n".join(map(row_text.__mod__, zip(*_json_columns(chunk)))))
-                    separator = ",\n"
-            block = chunk = None  # free this block before the next is built
+        rows = iter(rows)
+        while cells := list(zip(*islice(rows, _CHUNK_ROWS))):  # one chunk, by column
+            if writer:
+                writer.writerows(zip(*map(_csv_column, cells)))
+            if json_fh:
+                json_fh.write(separator)
+                json_fh.write(",\n".join(map(row_text.__mod__, zip(*map(_json_column, cells)))))
+                separator = ",\n"
+            del cells  # drop this chunk before the next is cut
         if json_fh:
             json_fh.write("[]\n" if separator == "[\n" else "\n]\n")
     return written
@@ -135,7 +129,7 @@ def _write_table(
 def _packet_rows(report: StudyReport) -> Table:
     columns = ["run", "packet", "protocol", "state", "transmission_time_hr", "route"]
     text = functools.cache(route_text)  # each distinct route rendered once
-    rows = [
+    rows = (
         (
             i,
             r.packet_index,
@@ -146,8 +140,8 @@ def _packet_rows(report: StudyReport) -> Table:
         )
         for i, run in enumerate(report.runs)
         for r in run.records
-    ]
-    return columns, [rows]
+    )
+    return columns, rows
 
 
 def _run_rows(report: StudyReport) -> Table:
@@ -161,17 +155,17 @@ def _run_rows(report: StudyReport) -> Table:
             rows.append(
                 (i, p.value, s.percent_error, s.time_mean_hr, s.time_std_hr, s.time_sem_hr)
             )
-    return columns, [rows]
+    return columns, rows
 
 
 def _crm_rows(report: StudyReport) -> Table:
     columns = ["run", "protocol", "sample_index", "crm_hr"]
-    rows = []
-    for i, run in enumerate(report.runs):
-        for p in ProtocolKind:
-            crm = run.summaries[p].crm_hr.tolist()
-            rows += zip(repeat(i), repeat(p.value), range(1, len(crm) + 1), crm)
-    return columns, [rows]
+    rows = chain.from_iterable(
+        zip(repeat(i), repeat(p.value), count(1), run.summaries[p].crm_hr.tolist())
+        for i, run in enumerate(report.runs)
+        for p in ProtocolKind
+    )
+    return columns, rows
 
 
 def _study_rows(report: StudyReport) -> Table:
@@ -182,7 +176,7 @@ def _study_rows(report: StudyReport) -> Table:
         for p in ProtocolKind:
             s = cells[p]
             rows.append((p.value, metric, s.mean, s.std, s.sem, s.n))
-    return columns, [rows]
+    return columns, rows
 
 
 def _ttest_cells(report: StudyReport):
@@ -202,7 +196,7 @@ def _ttest_rows(report: StudyReport) -> Table:
         (metric, a.value, b.value, r.t, r.df, r.p, r.significant)
         for metric, a, b, r in _ttest_cells(report)
     ]
-    return columns, [rows]
+    return columns, rows
 
 
 def _decision_rows(report: StudyReport) -> Table:
@@ -224,7 +218,7 @@ def _decision_rows(report: StudyReport) -> Table:
                 position[p],
             )
         )
-    return columns, [rows]
+    return columns, rows
 
 
 def _route_rows(report: StudyReport) -> Table:
@@ -233,39 +227,34 @@ def _route_rows(report: StudyReport) -> Table:
         (f.run_index, f.protocol.value, route_text(f.route), f.frequency)
         for f in report.frequent_routes
     ]
-    return columns, [rows]
+    return columns, rows
 
 
 def _node_rows(report: StudyReport) -> Table:
-    """Every run's nodes by id, one block per run (see _link_rows)."""
+    """Every run's nodes by id, one run's at a time."""
     columns = ["run", "node_id", "kind", "x_km", "y_km"]
     kinds = {PROBE_ID: NodeKind.PROBE, GROUND_ID: NodeKind.GROUND}
-    blocks = (
-        [
-            (i, v, kinds.get(v, NodeKind.RELAY).value, x, y)
-            for v, (x, y) in enumerate(run.network.positions.tolist())
-        ]
+    rows = (
+        (i, v, kinds.get(v, NodeKind.RELAY).value, x, y)
         for i, run in enumerate(report.runs)
+        for v, (x, y) in enumerate(run.network.positions.tolist())
     )
-    return columns, blocks
+    return columns, rows
 
 
 def _link_rows(report: StudyReport) -> Table:
-    """Every run's links in draw order, one block per run.
-
-    Blocks are built only when the writer asks for them, so only one run's
-    rows are held at a time and memory does not grow with run_count.
-    """
+    """Every run's links in draw order (pairs a < b, row-major), one run's at a time."""
     columns = ["run", "node_a", "node_b", "default_distance_km", "default_quality"]
-
-    def block(i: int, network: NetworkState) -> list[tuple]:
-        links = network.links
-        a, b = np.nonzero(links)
-        distance = network.default_distance[links].tolist()
-        quality = network.default_quality[links].tolist()
-        return list(zip(repeat(i), a.tolist(), b.tolist(), distance, quality))
-
-    return columns, (block(i, run.network) for i, run in enumerate(report.runs))
+    rows = chain.from_iterable(
+        zip(
+            repeat(i),
+            *np.argwhere(net.links).T.tolist(),  # node_a, node_b
+            net.default_distance[net.links].tolist(),
+            net.default_quality[net.links].tolist(),
+        )
+        for i, net in enumerate(run.network for run in report.runs)
+    )
+    return columns, rows
 
 
 def write_report(report: StudyReport) -> list[str]:
@@ -274,8 +263,8 @@ def write_report(report: StudyReport) -> list[str]:
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    # Each table is built just before it is written, so only one table's rows
-    # are held at a time (the network tables only one run's).
+    # Each table is built just before it is written, and the large ones yield
+    # their rows as the writer takes them, so no large table is held whole.
     tables = [
         ("packets", _packet_rows),
         ("runs", _run_rows),

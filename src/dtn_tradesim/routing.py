@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from enum import Enum
 
@@ -152,10 +153,7 @@ def next_hop(
 
 def most_frequent_path(routes: Iterable[Sequence[int]]) -> Route:
     """Most common route in the collection; ties keep the first seen."""
-    counts: dict[Route, int] = {}
-    for route in routes:
-        key = tuple(route)
-        counts[key] = counts.get(key, 0) + 1
-    if not counts:
+    best = Counter(map(tuple, routes)).most_common(1)
+    if not best:
         raise ValueError("route collection is empty")
-    return max(counts.items(), key=lambda kv: kv[1])[0]
+    return best[0][0]

@@ -97,14 +97,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         for p in ProtocolKind:
             routes = [r.route for r in run.records if r.protocol is p]
             best = most_frequent_path(routes)
-            frequent_routes.append(
-                FrequentRoute(
-                    run_index=i,
-                    protocol=p,
-                    route=best,
-                    frequency=sum(1 for r in routes if r == best),
-                )
-            )
+            frequent_routes.append(FrequentRoute(i, p, best, routes.count(best)))
 
     provenance = {
         "tool_version": __version__,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dtn_tradesim.config import StudyConfig
-from dtn_tradesim.report import _CHUNK_ROWS, _write_table, write_report
+from dtn_tradesim.report import _CHUNK_ROWS, _column_type, _write_table, write_report
 from dtn_tradesim.routing import ProtocolKind
 from dtn_tradesim.study import run_seed, run_study
 
@@ -250,22 +250,36 @@ def adversarial_tables():
 
 
 @pytest.mark.parametrize("name", sorted(adversarial_tables()))
-def test_write_table_matches_stdlib_reference(tmp_path, name):
+def test_write_table_matches_stdlib_reference(tmp_path, monkeypatch, name):
     columns, rows = adversarial_tables()[name]
     reference = tmp_path / "reference"
     reference.mkdir()
     files = reference_write_table(str(reference), name, columns, rows, "both")
-    third = len(rows) // 3
-    layouts = {
-        "whole": [rows],  # one block, so chunks end at the _CHUNK_ROWS edges
-        "split": [rows[:third], [], rows[third:]],  # blocks end anywhere, and may be empty
-    }
-    for layout, blocks in layouts.items():
-        ours = tmp_path / layout
+    # The bytes do not depend on where chunks end, so the chunk edges are
+    # read off the rows pulled from the generator whenever a column is encoded.
+    pulled, encoded_at = 0, set()
+
+    def stream():  # one pass only, so a second read finds nothing
+        nonlocal pulled
+        for row in rows:
+            pulled += 1
+            yield row
+
+    def column_type(cells):
+        encoded_at.add(pulled)
+        return _column_type(cells)
+
+    monkeypatch.setattr("dtn_tradesim.report._column_type", column_type)
+    for kind, given in {"list": rows, "generator": stream()}.items():
+        encoded_at.clear()
+        ours = tmp_path / kind
         ours.mkdir()
-        assert _write_table(str(ours), name, columns, blocks, "both") == files, layout
+        assert _write_table(str(ours), name, columns, given, "both") == files, kind
         for file in files:
-            assert (ours / file).read_bytes() == (reference / file).read_bytes(), (layout, file)
+            assert (ours / file).read_bytes() == (reference / file).read_bytes(), (kind, file)
+    # Each chunk is encoded as soon as its last row is pulled, and no sooner.
+    ends = {min(start + _CHUNK_ROWS, len(rows)) for start in range(0, len(rows), _CHUNK_ROWS)}
+    assert encoded_at == ends
 
 
 def run_slices(ext, data):
