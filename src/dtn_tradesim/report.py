@@ -15,6 +15,7 @@ import json
 import math
 import os
 from collections.abc import Iterable
+from dataclasses import fields
 from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -23,7 +24,7 @@ import numpy as np
 from .config import StudyConfig, config_lines
 from .network import GROUND_ID, PROBE_ID, NodeKind
 from .routing import ProtocolKind, Route
-from .stats import METRIC_NAMES
+from .stats import PROTOCOL_PAIRS
 from .study import StudyReport
 
 # Column names, then the rows: one value tuple per row, in column order.
@@ -171,11 +172,11 @@ def _crm_rows(report: StudyReport) -> Table:
 def _study_rows(report: StudyReport) -> Table:
     columns = ["protocol", "metric", "mean", "std", "sem", "n"]
     rows = []
-    for metric in METRIC_NAMES:
-        cells = report.study_summary.metric(metric)
+    for metric in fields(report.study_summary):
+        cells = getattr(report.study_summary, metric.name)
         for p in ProtocolKind:
             s = cells[p]
-            rows.append((p.value, metric, s.mean, s.std, s.sem, s.n))
+            rows.append((p.value, metric.name, s.mean, s.std, s.sem, s.n))
     return columns, rows
 
 
@@ -183,11 +184,9 @@ def _ttest_cells(report: StudyReport):
     """(metric, a, b, result) for each unordered protocol pair, in table order."""
     if report.ttests is None:
         return
-    protocols = list(ProtocolKind)
-    for metric in METRIC_NAMES:
-        for ai, a in enumerate(protocols):
-            for b in protocols[ai + 1 :]:
-                yield metric, a, b, report.ttests[metric][(a, b)]
+    for metric, entries in report.ttests.items():
+        for a, b in PROTOCOL_PAIRS:
+            yield metric, a, b, entries[(a, b)]
 
 
 def _ttest_rows(report: StudyReport) -> Table:
@@ -258,10 +257,20 @@ def _link_rows(report: StudyReport) -> Table:
 
 
 def write_report(report: StudyReport) -> list[str]:
-    """Write the full bundle into config.out_dir; returns written file names."""
+    """Write the full bundle into config.out_dir; returns written file names.
+
+    Table files that out_dir's old manifest lists and this bundle does not
+    write are removed; files no manifest listed are left alone.
+    """
     config: StudyConfig = report.config
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
+    manifest = os.path.join(out_dir, "manifest.txt")
+    try:
+        with open(manifest, encoding="utf-8", errors="replace") as fh:
+            old_files = fh.read().partition("\n[files]\n")[2].splitlines()
+    except FileNotFoundError:
+        old_files = []
 
     # Each table is built just before it is written, and the large ones yield
     # their rows as the writer takes them, so no large table is held whole.
@@ -285,7 +294,11 @@ def write_report(report: StudyReport) -> list[str]:
         for metric, a, b, r in _ttest_cells(report)
         if math.isnan(r.t)
     ]
-    manifest = os.path.join(out_dir, "manifest.txt")
+    # Only bare table file names, so nothing outside out_dir is touched.
+    for name in set(old_files).difference(files):
+        if name.endswith((".csv", ".json")) and os.path.basename(name) == name:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
     with open(manifest, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"dtn-tradesim {report.provenance['tool_version']}\n")
         fh.write(f"seed={report.provenance['seed']}\n")

@@ -26,6 +26,7 @@ from .network import (
     reset,
 )
 from .routing import ProtocolKind, Route, next_hop
+from .stats import SummaryStats, summarize
 
 logger = logging.getLogger(__name__)
 
@@ -86,14 +87,6 @@ def hop_outcome(rng: np.random.Generator, quality: float) -> bool:
     return rng.random() < quality
 
 
-@dataclass
-class _Copy:
-    node: int
-    route: list[int]
-    time_s: float = 0.0
-    damaged: bool = False
-
-
 def simulate_packet(
     network: NetworkState,
     rng: np.random.Generator,
@@ -113,43 +106,43 @@ def simulate_packet(
         step_budget = StudyConfig.step_budget_factor * network.node_count
     src = network.probe_id
     dst = network.ground_id
-    copies = {p: _Copy(node=src, route=[src]) for p in PROTOCOL_ORDER}
+    # Copy i travels for PROTOCOL_ORDER[i]; its route ends at its current node.
+    routes = [[src] for _ in PROTOCOL_ORDER]
+    time_s = [0.0] * len(PROTOCOL_ORDER)
+    damaged = [False] * len(PROTOCOL_ORDER)
 
+    in_flight = range(len(PROTOCOL_ORDER))
     steps = 0
-    while True:
-        unfinished = [p for p in PROTOCOL_ORDER if copies[p].node != dst]
-        if not unfinished:
-            break
+    while in_flight := [i for i in in_flight if routes[i][-1] != dst]:
         if steps >= step_budget:
             raise SimulationFault(
                 f"packet {packet_index}: step budget {step_budget} exceeded "
                 f"with copies still in flight: "
                 + "; ".join(
-                    f"{p.value} route " + "-".join(map(str, copies[p].route))
-                    for p in unfinished
+                    f"{PROTOCOL_ORDER[i].value} route " + "-".join(map(str, routes[i]))
+                    for i in in_flight
                 )
             )
         perturb(network, rng, sigma_frac)
-        for p in unfinished:
-            copy = copies[p]
-            nh = next_hop(network, p, copy.node, dst)
-            hop = (copy.node, nh)
-            copy.time_s += float(network.default_distance[hop]) / SPEED_OF_LIGHT_KM_S
+        for i in in_flight:
+            route = routes[i]
+            nh = next_hop(network, PROTOCOL_ORDER[i], route[-1], dst)
+            hop = (route[-1], nh)
+            time_s[i] += float(network.default_distance[hop]) / SPEED_OF_LIGHT_KM_S
             if not hop_outcome(rng, float(network.current_quality[hop])):
-                copy.damaged = True
-            copy.route.append(nh)
-            copy.node = nh
+                damaged[i] = True
+            route.append(nh)
         steps += 1
 
     return [
         PacketRecord(
             packet_index=packet_index,
             protocol=p,
-            route=tuple(copies[p].route),
-            transmission_time_hr=copies[p].time_s / SECONDS_PER_HOUR,
-            state=PacketState.DAMAGED if copies[p].damaged else PacketState.INTACT,
+            route=tuple(route),
+            transmission_time_hr=t / SECONDS_PER_HOUR,
+            state=PacketState.DAMAGED if d else PacketState.INTACT,
         )
-        for p in PROTOCOL_ORDER
+        for p, route, t, d in zip(PROTOCOL_ORDER, routes, time_s, damaged)
     ]
 
 
@@ -168,20 +161,15 @@ def summarize_protocol_records(
     if not records:
         raise ValueError("records must be non-empty")
     times = np.array([r.transmission_time_hr for r in records], dtype=np.float64)
-    n = times.size
     damaged = sum(1 for r in records if r.state is PacketState.DAMAGED)
-    if n >= 2:
-        std = float(np.std(times, ddof=1))
-        sem = std / math.sqrt(n)
-    else:
-        std = math.nan
-        sem = math.nan
+    # A single packet has a mean but no spread.
+    s = summarize(times) if times.size >= 2 else SummaryStats(float(times[0]), math.nan, 1)
     return RunSummary(
         protocol=protocol,
-        percent_error=100.0 * damaged / n,
-        time_mean_hr=float(np.mean(times)),
-        time_std_hr=std,
-        time_sem_hr=sem,
+        percent_error=100.0 * damaged / times.size,
+        time_mean_hr=s.mean,
+        time_std_hr=s.std,
+        time_sem_hr=s.sem,
         crm_hr=cumulative_running_mean(times),
     )
 

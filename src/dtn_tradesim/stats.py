@@ -7,9 +7,10 @@ and can be cross-checked against direct numeric integration of the density.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -149,20 +150,14 @@ def welch_t(s1: SummaryStats, s2: SummaryStats, alpha: float = 0.05) -> TTestRes
 
 @dataclass(frozen=True)
 class StudySummary:
-    """Per-protocol summary stats of the per-run metric values."""
+    """Per-protocol summary stats of the per-run values, one field per metric."""
 
     percent_error: dict[ProtocolKind, SummaryStats]
     transmission_time: dict[ProtocolKind, SummaryStats]
 
-    def metric(self, name: str) -> dict[ProtocolKind, SummaryStats]:
-        if name == "percent_error":
-            return self.percent_error
-        if name == "transmission_time":
-            return self.transmission_time
-        raise KeyError(name)
 
-
-METRIC_NAMES = ("percent_error", "transmission_time")
+# Each unordered protocol pair once, in the order the t-test table lists them.
+PROTOCOL_PAIRS = tuple(itertools.combinations(ProtocolKind, 2))
 
 PairwiseTests = dict[str, dict[tuple[ProtocolKind, ProtocolKind], TTestResult]]
 
@@ -170,29 +165,28 @@ PairwiseTests = dict[str, dict[tuple[ProtocolKind, ProtocolKind], TTestResult]]
 def significance_matrix(study: StudySummary, alpha: float = 0.05) -> PairwiseTests:
     """Welch tests for every ordered protocol pair on both metrics.
 
-    Both orientations of each pair are present (t flips sign, p and df
-    match); a protocol is never tested against itself.  A pair whose two
-    samples both have zero variance has no Welch test: its cell holds NaN
-    for t, df and p and is not significant.
+    Both orientations of each pair are present: the reverse cell negates t
+    and keeps df and p, exactly as welch_t would give them.  A protocol is
+    never tested against itself.  A pair whose two samples both have zero variance has no
+    Welch test: its cell holds NaN for t, df and p and is not significant.
     """
     out: PairwiseTests = {}
-    for metric in METRIC_NAMES:
-        cells = study.metric(metric)
+    for metric in fields(study):
+        cells = getattr(study, metric.name)
         flat = [p for p in ProtocolKind if cells[p].std == 0.0]
         if len(flat) > 1:
             logger.warning(
                 "%s: zero variance for %s; their t-tests are written as NaN",
-                metric,
+                metric.name,
                 ", ".join(p.value for p in flat),
             )
         entries: dict[tuple[ProtocolKind, ProtocolKind], TTestResult] = {}
-        for a in ProtocolKind:
-            for b in ProtocolKind:
-                if a is b:
-                    continue
-                if a in flat and b in flat:
-                    entries[(a, b)] = TTestResult(math.nan, math.nan, math.nan, False)
-                else:
-                    entries[(a, b)] = welch_t(cells[a], cells[b], alpha=alpha)
-        out[metric] = entries
+        for a, b in PROTOCOL_PAIRS:
+            if a in flat and b in flat:
+                result = TTestResult(math.nan, math.nan, math.nan, False)
+            else:
+                result = welch_t(cells[a], cells[b], alpha=alpha)
+            entries[(a, b)] = result
+            entries[(b, a)] = replace(result, t=-result.t)
+        out[metric.name] = entries
     return out

@@ -173,6 +173,8 @@ def test_significance_matrix_zero_variance_cells_are_nan(caplog):
         assert math.isnan(cell.t) and math.isnan(cell.df) and math.isnan(cell.p)
         assert not cell.significant
     assert pe[(B, Q)] == welch_t(flat, PE_REF[Q])
+    assert pe[(Q, B)] == welch_t(PE_REF[Q], flat)
+    assert pe[(Q, D)] == welch_t(PE_REF[Q], flat)
     assert "zero variance for bundle, distance_dijkstra" in caplog.text
 
 
@@ -187,11 +189,14 @@ def test_significance_matrix_reference_pattern():
     assert pe[(B, Q)].significant
     assert pe[(D, Q)].significant
 
-    for entries in tests.values():
+    for metric, entries in tests.items():
+        cells = getattr(study, metric)
+        assert len(entries) == 6
         for a in ProtocolKind:
             assert (a, a) not in entries
             for b in ProtocolKind:
                 if a is b:
                     continue
-                assert entries[(a, b)].t == pytest.approx(-entries[(b, a)].t)
-                assert entries[(a, b)].p == pytest.approx(entries[(b, a)].p)
+                assert entries[(b, a)] == welch_t(cells[b], cells[a])
+                assert entries[(a, b)].t == -entries[(b, a)].t
+                assert entries[(a, b)].p == entries[(b, a)].p

@@ -183,6 +183,46 @@ def test_manifest_lists_written_files(tmp_path):
     assert "packet_count=30" in manifest
 
 
+# A manifest in the older layout that wrote two network files per run.
+PER_RUN_LAYOUT_MANIFEST = """dtn-tradesim 0.1.0
+seed=11
+[config]
+format=csv
+[files]
+packets.csv
+network_nodes_run0.csv
+network_links_run0.csv
+"""
+
+
+@pytest.mark.parametrize("older", ["both_bundle", "per_run_network_files"])
+def test_rewrite_removes_only_files_the_old_manifest_listed(tmp_path, older):
+    out = tmp_path / "bundle"
+    if older == "both_bundle":
+        write_report(run_study(small_config(out_dir=str(out), format="both")))
+    else:
+        out.mkdir()
+        for name in PER_RUN_LAYOUT_MANIFEST.split("[files]\n")[1].splitlines():
+            (out / name).write_text("stale\n", encoding="utf-8")
+        (out / "manifest.txt").write_text(PER_RUN_LAYOUT_MANIFEST, encoding="utf-8")
+    # Only listed table files inside out_dir may go: not a file no manifest
+    # listed, not a listed path outside out_dir, not a listed non-table file.
+    with open(out / "manifest.txt", "a", encoding="utf-8") as fh:
+        fh.write("../outside.csv\nlisted.txt\n")
+    kept = [tmp_path / "outside.csv", out / "notes.txt", out / "listed.txt"]
+    for path in kept:
+        path.write_text("keep\n", encoding="utf-8")
+
+    files = write_report(run_study(small_config(out_dir=str(out), format="csv")))
+
+    manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+    listed = manifest.split("\n[files]\n")[1].splitlines() + ["manifest.txt"]
+    assert set(os.listdir(out)) - {"notes.txt", "listed.txt"} == set(files) == set(listed)
+    assert len(files) == 10
+    for path in kept:
+        assert path.read_text(encoding="utf-8") == "keep\n"
+
+
 def snapshot_bundle(out_dir, files):
     data = {}
     for name in files:
