@@ -24,6 +24,7 @@ import numpy as np
 from .config import StudyConfig, config_lines
 from .network import GROUND_ID, PROBE_ID, NodeKind
 from .routing import ProtocolKind, Route
+from .simulation import PacketState
 from .stats import PROTOCOL_PAIRS
 from .study import StudyReport
 
@@ -130,17 +131,11 @@ def _write_table(
 def _packet_rows(report: StudyReport) -> Table:
     columns = ["run", "packet", "protocol", "state", "transmission_time_hr", "route"]
     text = functools.cache(route_text)  # each distinct route rendered once
+    states = (PacketState.INTACT.value, PacketState.DAMAGED.value)  # by damage flag
     rows = (
-        (
-            i,
-            r.packet_index,
-            r.protocol.value,
-            r.state.value,
-            r.transmission_time_hr,
-            text(r.route),
-        )
+        (i, k, p.value, states[d], t, text(route))
         for i, run in enumerate(report.runs)
-        for r in run.records
+        for k, p, t, d, route in run.outcomes()
     )
     return columns, rows
 

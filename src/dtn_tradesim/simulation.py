@@ -9,7 +9,6 @@ A damaged copy keeps routing so its full route and timing stay observable.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,7 +25,7 @@ from .network import (
     reset,
 )
 from .routing import ProtocolKind, Route, next_hop
-from .stats import SummaryStats, summarize
+from .stats import summarize_or_mean
 
 logger = logging.getLogger(__name__)
 
@@ -69,11 +68,42 @@ class RunSummary:
     crm_hr: np.ndarray = field(repr=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
+    """One run's network, packet outcomes and per-protocol summaries.
+
+    The outcomes are columns indexed [protocol position in PROTOCOL_ORDER,
+    packet index]: transmission times in hours, damage flags, and routes,
+    where every copy of one route in a run refers to the same tuple.
+    """
+
     network: NetworkState
-    records: list[PacketRecord]
+    times_hr: np.ndarray  # float64, (len(PROTOCOL_ORDER), packet_count)
+    damaged: np.ndarray  # bool, same shape
+    routes: list[list[Route]]  # routes[j][k]: protocol j's route for packet k
     summaries: dict[ProtocolKind, RunSummary]
+
+    def outcomes(self):
+        """(packet, protocol, time_hr, damaged, route) of each copy, packet by packet.
+
+        Within a packet the copies follow PROTOCOL_ORDER; values are Python
+        floats and bools.
+        """
+        per_protocol = [
+            zip(t, d, r)
+            for t, d, r in zip(self.times_hr.tolist(), self.damaged.tolist(), self.routes)
+        ]
+        for k, copies in enumerate(zip(*per_protocol)):
+            for p, (t, d, route) in zip(PROTOCOL_ORDER, copies):
+                yield k, p, t, d, route
+
+    @property
+    def records(self) -> list[PacketRecord]:
+        """The outcomes as PacketRecords, built anew on each access."""
+        return [
+            PacketRecord(k, p, route, t, PacketState.DAMAGED if d else PacketState.INTACT)
+            for k, p, t, d, route in self.outcomes()
+        ]
 
 
 def hop_outcome(rng: np.random.Generator, quality: float) -> bool:
@@ -155,22 +185,17 @@ def cumulative_running_mean(samples) -> np.ndarray:
 
 
 def summarize_protocol_records(
-    protocol: ProtocolKind, records: list[PacketRecord]
+    protocol: ProtocolKind, times_hr: np.ndarray, damaged: np.ndarray
 ) -> RunSummary:
-    """Fold one protocol's packet records into a RunSummary."""
-    if not records:
-        raise ValueError("records must be non-empty")
-    times = np.array([r.transmission_time_hr for r in records], dtype=np.float64)
-    damaged = sum(1 for r in records if r.state is PacketState.DAMAGED)
-    # A single packet has a mean but no spread.
-    s = summarize(times) if times.size >= 2 else SummaryStats(float(times[0]), math.nan, 1)
+    """Fold one protocol's time and damage columns into a RunSummary."""
+    s = summarize_or_mean(times_hr)
     return RunSummary(
         protocol=protocol,
-        percent_error=100.0 * damaged / times.size,
+        percent_error=100.0 * int(np.count_nonzero(damaged)) / s.n,
         time_mean_hr=s.mean,
         time_std_hr=s.std,
         time_sem_hr=s.sem,
-        crm_hr=cumulative_running_mean(times),
+        crm_hr=cumulative_running_mean(times_hr),
     )
 
 
@@ -183,16 +208,22 @@ def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
     config.validate()
     network = build_network(place_nodes(config, rng), rng, config)
     budget = config.step_budget_factor * network.node_count
-    records: list[PacketRecord] = []
+    shape = (len(PROTOCOL_ORDER), config.packet_count)
+    times_hr = np.empty(shape, dtype=np.float64)
+    damaged = np.empty(shape, dtype=bool)
+    routes: list[list[Route]] = [[] for _ in PROTOCOL_ORDER]
+    interned: dict[Route, Route] = {}
     for k in range(config.packet_count):
         reset(network)
-        records.extend(
-            simulate_packet(
-                network, rng, config.sigma_frac, packet_index=k, step_budget=budget
-            )
+        copies = simulate_packet(
+            network, rng, config.sigma_frac, packet_index=k, step_budget=budget
         )
+        for j, r in enumerate(copies):
+            times_hr[j, k] = r.transmission_time_hr
+            damaged[j, k] = r.state is PacketState.DAMAGED
+            routes[j].append(interned.setdefault(r.route, r.route))
     summaries = {
-        p: summarize_protocol_records(p, [r for r in records if r.protocol is p])
-        for p in PROTOCOL_ORDER
+        p: summarize_protocol_records(p, times_hr[j], damaged[j])
+        for j, p in enumerate(PROTOCOL_ORDER)
     }
-    return RunResult(network=network, records=records, summaries=summaries)
+    return RunResult(network, times_hr, damaged, routes, summaries)

@@ -47,6 +47,14 @@ def summarize(samples) -> SummaryStats:
     )
 
 
+def summarize_or_mean(samples) -> SummaryStats:
+    """summarize, except that one sample has a mean but no spread (NaN std)."""
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.size == 1:
+        return SummaryStats(mean=float(arr[0]), std=math.nan, n=1)
+    return summarize(arr)
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz method)."""
     qab = a + b

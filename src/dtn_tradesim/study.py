@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +12,8 @@ from .config import StudyConfig, config_hash
 from .decision import DecisionTable, build_table, practicality_correction, rank
 from .errors import SimulationFault
 from .routing import ProtocolKind, Route, most_frequent_path
-from .simulation import RunResult, run_simulation
-from .stats import PairwiseTests, StudySummary, SummaryStats, significance_matrix, summarize
+from .simulation import PROTOCOL_ORDER, RunResult, run_simulation
+from .stats import PairwiseTests, StudySummary, significance_matrix, summarize_or_mean
 
 logger = logging.getLogger(__name__)
 
@@ -45,20 +44,20 @@ class StudyReport:
     provenance: dict[str, str]
 
 
-def _study_summary(config: StudyConfig, runs: list[RunResult]) -> StudySummary:
-    pe: dict[ProtocolKind, SummaryStats] = {}
-    tt: dict[ProtocolKind, SummaryStats] = {}
-    for p in ProtocolKind:
-        pe_values = [run.summaries[p].percent_error for run in runs]
-        tt_values = [run.summaries[p].time_mean_hr for run in runs]
-        if config.run_count >= 2:
-            pe[p] = summarize(pe_values)
-            tt[p] = summarize(tt_values)
-        else:
-            # Single run: the mean is the value itself, spread is undefined.
-            pe[p] = SummaryStats(mean=pe_values[0], std=math.nan, n=1)
-            tt[p] = SummaryStats(mean=tt_values[0], std=math.nan, n=1)
-    return StudySummary(percent_error=pe, transmission_time=tt)
+# The RunSummary value whose per-run samples make up each StudySummary metric.
+RUN_VALUE_OF_METRIC = {"percent_error": "percent_error", "transmission_time": "time_mean_hr"}
+
+
+def _study_summary(runs: list[RunResult]) -> StudySummary:
+    return StudySummary(
+        **{
+            metric: {
+                p: summarize_or_mean([getattr(run.summaries[p], value) for run in runs])
+                for p in ProtocolKind
+            }
+            for metric, value in RUN_VALUE_OF_METRIC.items()
+        }
+    )
 
 
 def run_study(config: StudyConfig) -> StudyReport:
@@ -78,7 +77,7 @@ def run_study(config: StudyConfig) -> StudyReport:
             raise SimulationFault(f"run {i}: {exc}") from exc
         logger.info("run %d of %d complete", i + 1, config.run_count)
 
-    study_summary = _study_summary(config, runs)
+    study_summary = _study_summary(runs)
 
     if config.run_count >= 2:
         ttests = significance_matrix(study_summary)
@@ -86,16 +85,18 @@ def run_study(config: StudyConfig) -> StudyReport:
         logger.warning("run_count < 2: skipping significance tests")
         ttests = None
 
-    pe_means = {p: study_summary.percent_error[p].mean for p in ProtocolKind}
-    tt_means = {p: study_summary.transmission_time[p].mean for p in ProtocolKind}
-    decision_raw = build_table(pe_means, tt_means)
+    decision_raw = build_table(
+        **{
+            metric: {p: s.mean for p, s in getattr(study_summary, metric).items()}
+            for metric in RUN_VALUE_OF_METRIC
+        }
+    )
     decision_corrected = practicality_correction(decision_raw, config.baseline)
     ranking = rank(decision_corrected)
 
     frequent_routes = []
     for i, run in enumerate(runs):
-        for p in ProtocolKind:
-            routes = [r.route for r in run.records if r.protocol is p]
+        for p, routes in zip(PROTOCOL_ORDER, run.routes):
             best = most_frequent_path(routes)
             frequent_routes.append(FrequentRoute(i, p, best, routes.count(best)))
 

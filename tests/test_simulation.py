@@ -1,6 +1,8 @@
 """Monte Carlo engine: hop outcomes, packet transit, per-run aggregation."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from dtn_tradesim.network import (
 from dtn_tradesim.config import StudyConfig
 from dtn_tradesim.routing import ProtocolKind, dijkstra_path, next_hop
 from dtn_tradesim.simulation import (
-    PacketRecord,
+    PROTOCOL_ORDER,
     PacketState,
     cumulative_running_mean,
     hop_outcome,
@@ -201,36 +203,27 @@ def test_cumulative_running_mean_examples():
         cumulative_running_mean([])
 
 
-def make_records(times, damaged_count):
-    records = []
-    for i, t in enumerate(times):
-        records.append(
-            PacketRecord(
-                packet_index=i,
-                protocol=ProtocolKind.BUNDLE,
-                route=(0, 2, 1),
-                transmission_time_hr=t,
-                state=PacketState.DAMAGED if i < damaged_count else PacketState.INTACT,
-            )
-        )
-    return records
+def make_columns(times, damaged_count):
+    """One protocol's time and damage columns; the first damaged_count are damaged."""
+    damaged = np.arange(len(times)) < damaged_count
+    return np.array(times, dtype=np.float64), damaged
 
 
 def test_percent_error_is_damaged_share():
-    records = make_records([1.5] * 500, damaged_count=182)
-    summary = summarize_protocol_records(ProtocolKind.BUNDLE, records)
+    columns = make_columns([1.5] * 500, damaged_count=182)
+    summary = summarize_protocol_records(ProtocolKind.BUNDLE, *columns)
     assert summary.percent_error == pytest.approx(36.4)
 
 
 def test_run_summary_sem_definition():
     times = list(rng(7).normal(1.5, 0.2, size=400))
-    summary = summarize_protocol_records(ProtocolKind.BUNDLE, make_records(times, 10))
+    summary = summarize_protocol_records(ProtocolKind.BUNDLE, *make_columns(times, 10))
     assert summary.time_sem_hr == pytest.approx(summary.time_std_hr / math.sqrt(400))
     assert np.allclose(summary.crm_hr, cumulative_running_mean(times))
 
 
 def test_single_packet_run_has_undefined_spread():
-    summary = summarize_protocol_records(ProtocolKind.BUNDLE, make_records([1.2], 0))
+    summary = summarize_protocol_records(ProtocolKind.BUNDLE, *make_columns([1.2], 0))
     assert summary.time_mean_hr == pytest.approx(1.2)
     assert math.isnan(summary.time_std_hr)
     assert math.isnan(summary.time_sem_hr)
@@ -255,7 +248,8 @@ def test_run_simulation_deterministic():
 def test_run_simulation_resets_between_packets():
     # The engine must equal a hand-rolled loop of reset + simulate per packet.
     cfg = small_config(packet_count=5)
-    got = run_simulation(cfg, rng(21)).records
+    result = run_simulation(cfg, rng(21))
+    got = result.records
 
     r = rng(21)
     network = build_network(place_nodes(cfg, r), r, cfg)
@@ -272,6 +266,32 @@ def test_run_simulation_resets_between_packets():
             )
         )
     assert got == want
+    for j, p in enumerate(PROTOCOL_ORDER):
+        replayed = [r for r in want if r.protocol is p]
+        assert result.times_hr[j].tolist() == [r.transmission_time_hr for r in replayed]
+        assert result.damaged[j].tolist() == [
+            r.state is PacketState.DAMAGED for r in replayed
+        ]
+        assert result.routes[j] == [r.route for r in replayed]
+
+
+def test_run_result_holds_columns_not_records():
+    # 3,000 packets at 4 relays: one PacketRecord per copy costs about 230 B;
+    # the time, damage and route columns with interned routes about 26 B.
+    cfg = StudyConfig(relay_count=4, packet_count=3000, run_count=1)
+    run_simulation(small_config(relay_count=4), rng(0))  # warm lazy imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = run_simulation(cfg, rng(0))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    copies = cfg.packet_count * len(PROTOCOL_ORDER)
+    assert held / copies < 64, f"{held / copies:.0f} B per packet copy"
+    assert result.times_hr.size == copies
 
 
 @pytest.mark.parametrize(
