@@ -444,3 +444,22 @@ def test_default_study_golden_bundle(tmp_path, monkeypatch):
             for i, part in slices.items():
                 per_run[f"{table}_run{i}.{ext}"] = hashlib.sha256(part).hexdigest()
     assert per_run == PER_RUN_NETWORK_SHA256
+
+
+# sha256 of packets.csv for seed-0 studies at 40 relays, 2 runs x 10 packets:
+# the golden bundle above runs 10 relays, so these pin the routes chosen on
+# larger relay graphs.
+@pytest.mark.parametrize(
+    "sigma_frac, digest",
+    [
+        (None, "a8e4c0fcf22d4ca75a03ca8dd72c5ea8bb1bac4ff79635b5a3b31e59a21b9d03"),
+        (0.6, "82eb812dca920a0cc699813221b5cd3ba9a989bbe257beffac40f18f5e264672"),
+    ],
+)
+def test_large_relay_graph_golden_packets(tmp_path, sigma_frac, digest):
+    keys = {} if sigma_frac is None else {"sigma_frac": sigma_frac}
+    config = StudyConfig(
+        seed=0, relay_count=40, run_count=2, packet_count=10, out_dir=str(tmp_path), **keys
+    )
+    write_report(run_study(config))
+    assert hashlib.sha256((tmp_path / "packets.csv").read_bytes()).hexdigest() == digest
