@@ -13,6 +13,7 @@ from dtn_tradesim.network import (
     perturb,
     reset,
 )
+from dtn_tradesim import routing
 from dtn_tradesim.routing import (
     ProtocolKind,
     dijkstra_path,
@@ -177,6 +178,80 @@ def test_next_hop_matches_reference_tie_order():
                 assert dijkstra_path(network, kind, src, network.ground_id) == want
                 decisions += 1
     assert decisions == 2 * 40 * (2 + 3 + 5 + 11 + 31)
+
+
+def perfect_links(network):
+    # Every quality cost is zero but the penalized direct link's, so only
+    # hop counts and the lexicographic order decide.
+    network.default_quality[:] = 1.0
+    return reset(network)
+
+
+@pytest.mark.parametrize("relay_count", [0, 1, 2, 4, 10, 30, 60])
+def test_layered_search_matches_reference(relay_count):
+    # Called directly, below the size at which next_hop switches to it too.
+    # relay_count 0 is the two-node network: the probe and the ground station.
+    def build(seed):
+        if relay_count == 0:
+            rows = [(NodeKind.PROBE, 100.0, 0.0), (NodeKind.GROUND, 0.0, 0.0)]
+            return build_custom_network(rows, seed=seed)
+        return build_random_network(seed=700 + seed, relay_count=relay_count)
+
+    networks = [
+        perturb(build(seed), rng(seed), sigma_frac)
+        for sigma_frac in (0.0, 0.05, 0.6, 2.0)
+        for seed in range(2)
+    ]
+    networks.append(perfect_links(build(9)))
+    decisions = 0
+    for network in networks:
+        dst = network.ground_id
+        for kind in CostKind:
+            for src in range(network.node_count):
+                if src == dst:
+                    continue
+                want = reference_dijkstra_path(network, kind, src, dst)[1]
+                assert routing._layered_next_hop(network, kind, src, dst) == want, (kind, src)
+                decisions += 1
+    assert decisions == 9 * 2 * (relay_count + 1)
+
+
+def test_layered_search_keeps_fewer_hops_on_equal_cost():
+    # 0-2-1 (2 hops) and 0-3-4-1 (3 hops) both cost exactly 2 s.  The longer
+    # path reaches the ground one layer later through 4, which is still
+    # cheaper than the best ground label then, so only the strict comparison
+    # keeps relay 2 as the next hop.
+    network = build_custom_network(
+        [
+            (NodeKind.PROBE, 0.0, 0.0),
+            (NodeKind.GROUND, 9.0 * C, 0.0),
+            (NodeKind.RELAY, 4.0 * C, 3.0 * C),
+            (NodeKind.RELAY, 4.0 * C, -3.0 * C),
+            (NodeKind.RELAY, 6.0 * C, -3.0 * C),
+        ]
+    )
+    for a, b, seconds in ((0, 2, 1.0), (2, 1, 1.0), (0, 3, 1.0), (3, 4, 0.5), (4, 1, 0.5)):
+        set_link(network, a, b, distance=seconds * C)
+    for a, b in ((0, 4), (3, 1), (2, 3), (2, 4)):
+        set_link(network, a, b, distance=5.0 * C)
+    kind = CostKind.TRANSMISSION_TIME
+    assert path_cost(network, kind, (0, 3, 4, 1)) == path_cost(network, kind, (0, 2, 1)) == 2.0
+    assert reference_dijkstra_path(network, kind, 0, 1) == (0, 2, 1)
+    assert routing._layered_next_hop(network, kind, 0, 1) == 2
+
+
+def test_next_hop_switches_to_layered_search_on_large_graphs(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("_search called")
+
+    monkeypatch.setattr(routing, "_search", no_search)
+    large = build_random_network(seed=31, relay_count=60)
+    small = build_random_network(seed=31, relay_count=10)
+    for protocol, kind in routing.PROTOCOL_COST_KIND.items():
+        want = reference_dijkstra_path(large, kind, large.probe_id, large.ground_id)[1]
+        assert next_hop(large, protocol, large.probe_id, large.ground_id) == want
+        with pytest.raises(AssertionError, match="_search called"):
+            next_hop(small, protocol, small.probe_id, small.ground_id)
 
 
 def test_dijkstra_next_hops_replay_whole_path_when_static():

@@ -446,9 +446,9 @@ def test_default_study_golden_bundle(tmp_path, monkeypatch):
     assert per_run == PER_RUN_NETWORK_SHA256
 
 
-# sha256 of packets.csv for seed-0 studies at 40 relays, 2 runs x 10 packets:
-# the golden bundle above runs 10 relays, so these pin the routes chosen on
-# larger relay graphs.
+# sha256 of packets.csv for seed-0 studies at 40 relays, 2 runs x 10 packets.
+# The golden bundle above runs 10 relays, below routing.LAYERED_MIN_NODES;
+# these graphs are above it, so they pin the routes the layered search picks.
 @pytest.mark.parametrize(
     "sigma_frac, digest",
     [
