@@ -30,10 +30,11 @@ PROTOCOL_COST_KIND = {
 }
 
 # next_hop switches from _search to _layered_next_hop at this graph size.
-# Measured per search on states captured from studies, the layered search is
-# slower below about 20 relays, breaks even up to about 28 and wins from 30
-# relays (32 nodes) up.
-LAYERED_MIN_NODES = 32
+# Timed per search on states captured from studies, the layered search is
+# slower up to about 18 relays, breaks even up to about 24 and wins from 26
+# relays (28 nodes) up: numpy's per-call overhead outweighs the list loop on
+# small graphs.
+LAYERED_MIN_NODES = 28
 
 
 def dijkstra_path(network: NetworkState, kind: CostKind, src: int, dst: int) -> Route:
@@ -120,7 +121,7 @@ def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int)
     costs = edge_cost_matrix(network, kind)
     np.fill_diagonal(costs, math.inf)
     best = costs[src].copy()  # one-hop paths; costs[src, src] is inf
-    frontier = np.flatnonzero(best < best[dst])
+    frontier = (best < best[dst]).nonzero()[0]
     best[src] = 0.0
     cost = best[frontier]
     first = frontier  # first hop of each frontier path
@@ -133,7 +134,7 @@ def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int)
         if reach[dst] < best[dst]:
             best[dst] = reach[dst]
             hop = first[via[dst]]
-        nodes = np.flatnonzero(reach < np.minimum(best, best[dst]))
+        nodes = (reach < np.minimum(best, best[dst])).nonzero()[0]
         via = via[nodes]
         order = np.lexsort((nodes, via))
         frontier = nodes[order]

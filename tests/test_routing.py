@@ -180,16 +180,9 @@ def test_next_hop_matches_reference_tie_order():
     assert decisions == 2 * 40 * (2 + 3 + 5 + 11 + 31)
 
 
-def perfect_links(network):
-    # Every quality cost is zero but the penalized direct link's, so only
-    # hop counts and the lexicographic order decide.
-    network.default_quality[:] = 1.0
-    return reset(network)
-
-
 @pytest.mark.parametrize("relay_count", [0, 1, 2, 4, 10, 30, 60])
 def test_layered_search_matches_reference(relay_count):
-    # Called directly, below the size at which next_hop switches to it too.
+    # Called directly, so graphs below routing.LAYERED_MIN_NODES are checked too.
     # relay_count 0 is the two-node network: the probe and the ground station.
     def build(seed):
         if relay_count == 0:
@@ -202,7 +195,11 @@ def test_layered_search_matches_reference(relay_count):
         for sigma_frac in (0.0, 0.05, 0.6, 2.0)
         for seed in range(2)
     ]
-    networks.append(perfect_links(build(9)))
+    # Perfect links: every quality cost is zero but the penalized direct
+    # link's, so only hop counts and the lexicographic order decide.
+    perfect = build(9)
+    perfect.default_quality[:] = 1.0
+    networks.append(reset(perfect))
     decisions = 0
     for network in networks:
         dst = network.ground_id
