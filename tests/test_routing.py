@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dtn_tradesim import routing
 from dtn_tradesim.network import (
     SPEED_OF_LIGHT_KM_S,
     CostKind,
@@ -13,7 +14,6 @@ from dtn_tradesim.network import (
     perturb,
     reset,
 )
-from dtn_tradesim import routing
 from dtn_tradesim.routing import (
     ProtocolKind,
     dijkstra_path,
@@ -239,7 +239,7 @@ def test_layered_search_keeps_fewer_hops_on_equal_cost():
 
 def test_next_hop_switches_to_layered_search_on_large_graphs(monkeypatch):
     def no_search(*args):
-        raise AssertionError("_search called")
+        raise RuntimeError("_search called")
 
     monkeypatch.setattr(routing, "_search", no_search)
     large = build_random_network(seed=31, relay_count=60)
@@ -247,7 +247,7 @@ def test_next_hop_switches_to_layered_search_on_large_graphs(monkeypatch):
     for protocol, kind in routing.PROTOCOL_COST_KIND.items():
         want = reference_dijkstra_path(large, kind, large.probe_id, large.ground_id)[1]
         assert next_hop(large, protocol, large.probe_id, large.ground_id) == want
-        with pytest.raises(AssertionError, match="_search called"):
+        with pytest.raises(RuntimeError, match="_search called"):
             next_hop(small, protocol, small.probe_id, small.ground_id)
 
 

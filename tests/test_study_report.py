@@ -450,14 +450,14 @@ def test_default_study_golden_bundle(tmp_path, monkeypatch):
 # The golden bundle above runs 10 relays, below routing.LAYERED_MIN_NODES;
 # these graphs are above it, so they pin the routes the layered search picks.
 @pytest.mark.parametrize(
-    "sigma_frac, digest",
+    "keys, digest",
     [
-        (None, "a8e4c0fcf22d4ca75a03ca8dd72c5ea8bb1bac4ff79635b5a3b31e59a21b9d03"),
-        (0.6, "82eb812dca920a0cc699813221b5cd3ba9a989bbe257beffac40f18f5e264672"),
+        ({}, "a8e4c0fcf22d4ca75a03ca8dd72c5ea8bb1bac4ff79635b5a3b31e59a21b9d03"),
+        ({"sigma_frac": 0.6}, "82eb812dca920a0cc699813221b5cd3ba9a989bbe257beffac40f18f5e264672"),
     ],
+    ids=["default", "sigma_0.6"],
 )
-def test_large_relay_graph_golden_packets(tmp_path, sigma_frac, digest):
-    keys = {} if sigma_frac is None else {"sigma_frac": sigma_frac}
+def test_large_relay_graph_golden_packets(tmp_path, keys, digest):
     config = StudyConfig(
         seed=0, relay_count=40, run_count=2, packet_count=10, out_dir=str(tmp_path), **keys
     )
