@@ -446,20 +446,31 @@ def test_default_study_golden_bundle(tmp_path, monkeypatch):
     assert per_run == PER_RUN_NETWORK_SHA256
 
 
-# sha256 of packets.csv for seed-0 studies at 40 relays, 2 runs x 10 packets.
+# sha256 of packets.csv for seed-0 studies at 40 relays, 2 runs x 10 packets,
+# and at 60 relays, 5 runs x 40 packets (perfbench's dense_60 shape).
 # The golden bundle above runs 10 relays, below routing.LAYERED_MIN_NODES;
 # these graphs are above it, so they pin the routes the layered search picks.
+_RELAYS_40 = {"relay_count": 40, "run_count": 2, "packet_count": 10}
+_RELAYS_60 = {"relay_count": 60, "run_count": 5, "packet_count": 40}
+
+
 @pytest.mark.parametrize(
     "keys, digest",
     [
-        ({}, "a8e4c0fcf22d4ca75a03ca8dd72c5ea8bb1bac4ff79635b5a3b31e59a21b9d03"),
-        ({"sigma_frac": 0.6}, "82eb812dca920a0cc699813221b5cd3ba9a989bbe257beffac40f18f5e264672"),
+        (_RELAYS_40, "a8e4c0fcf22d4ca75a03ca8dd72c5ea8bb1bac4ff79635b5a3b31e59a21b9d03"),
+        (
+            {**_RELAYS_40, "sigma_frac": 0.6},
+            "82eb812dca920a0cc699813221b5cd3ba9a989bbe257beffac40f18f5e264672",
+        ),
+        (_RELAYS_60, "f3f5866ebbc8a9abb90da52592195b34c6aa9d0e8c793de9a8b56d035c34ca97"),
+        (
+            {**_RELAYS_60, "sigma_frac": 0.6},
+            "5ec84b53ac28a9604cc17bf837c80fab4999ad090bf7c831ff92e5906cdcc564",
+        ),
     ],
-    ids=["default", "sigma_0.6"],
+    ids=["default", "sigma_0.6", "60_relays_default", "60_relays_sigma_0.6"],
 )
 def test_large_relay_graph_golden_packets(tmp_path, keys, digest):
-    config = StudyConfig(
-        seed=0, relay_count=40, run_count=2, packet_count=10, out_dir=str(tmp_path), **keys
-    )
+    config = StudyConfig(seed=0, out_dir=str(tmp_path), **keys)
     write_report(run_study(config))
     assert hashlib.sha256((tmp_path / "packets.csv").read_bytes()).hexdigest() == digest
