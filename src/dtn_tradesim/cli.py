@@ -89,6 +89,9 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationFault as exc:
         print(f"simulation fault: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

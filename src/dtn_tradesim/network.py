@@ -8,11 +8,10 @@ per-step perturbation jitters around the default.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import ClassVar
 
 import numpy as np
 
@@ -55,7 +54,26 @@ def place_nodes(config, rng: np.random.Generator) -> np.ndarray:
     return np.vstack(([e, 0.0], [0.0, 0.0], np.column_stack((xs, ys))))
 
 
-@dataclass
+@functools.lru_cache(maxsize=8)
+def _link_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index arrays shared by every n-node network.
+
+    links is the upper-triangle mask; selecting with it visits the links
+    (a < b) in row-major order, the order in which link values are drawn.
+    upper holds the same links as flat positions in an n x n matrix.  slots
+    maps each matrix entry to its link's draw-order position, and the
+    diagonal to link_count, one past the last link.
+    """
+    links = np.triu(np.ones((n, n), dtype=bool), 1)
+    rows, cols = links.nonzero()
+    slots = np.full((n, n), len(rows))
+    slots[rows, cols] = slots[cols, rows] = np.arange(len(rows))
+    layout = (links, rows * n + cols, slots)
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
 class NetworkState:
     """Complete graph over the placed nodes with default and current link state.
 
@@ -66,35 +84,64 @@ class NetworkState:
     link and stays zero.
     """
 
-    positions: np.ndarray
-    default_distance: np.ndarray
-    current_distance: np.ndarray
-    default_quality: np.ndarray
-    current_quality: np.ndarray
-    min_coord_km: float
-    probe_id: ClassVar[int] = PROBE_ID
-    ground_id: ClassVar[int] = GROUND_ID
-    # Upper-triangle mask: selecting with it visits the links (a < b) in
-    # row-major order, the order in which link values are drawn.
-    links: np.ndarray = field(init=False, repr=False, compare=False)
+    probe_id = PROBE_ID
+    ground_id = GROUND_ID
 
-    def __post_init__(self) -> None:
-        self.links = np.triu(np.ones((self.node_count, self.node_count), dtype=bool), 1)
+    def __init__(self, positions: np.ndarray, min_coord_km: float) -> None:
+        n = len(positions)
+        self.positions = positions
+        self.min_coord_km = min_coord_km
+        self.node_count = n
+        self.link_count = n * (n - 1) // 2
+        self.links, self._upper, self._slots = _link_layout(n)
+        self.default_distance = np.zeros((n, n))
+        self.default_quality = np.zeros((n, n))
+        self.current_quality = np.zeros((n, n))
+        self._current_distance = np.zeros((n, n))
+        # (sigma_frac, distance normals) of the last perturbation while its
+        # distances are not yet written; None once current_distance is.
+        self._distance_draws: tuple[float, np.ndarray] | None = None
 
     @property
-    def node_count(self) -> int:
-        return len(self.positions)
-
-    @property
-    def link_count(self) -> int:
-        n = self.node_count
-        return n * (n - 1) // 2
+    def current_distance(self) -> np.ndarray:
+        """Current link distances, written on the first read after a perturbation."""
+        if self._distance_draws is not None:
+            sigma_frac, zd = self._distance_draws
+            self._distance_draws = None
+            _write_perturbed(
+                self, self._current_distance, self.default_distance, sigma_frac, zd,
+                low=self.min_coord_km,
+            )
+        return self._current_distance
 
 
 def _set_links(network: NetworkState, matrix: np.ndarray, values: np.ndarray) -> None:
-    """Write per-link values, given in draw order, to both triangles of matrix."""
-    matrix[network.links] = values
-    matrix.T[network.links] = values
+    """Write per-link values to both triangles of matrix and 0 to its diagonal.
+
+    values holds the link_count values in draw order, then the diagonal's 0.
+    """
+    values.take(network._slots, out=matrix, mode="clip")  # "raise" would buffer
+
+
+def _write_perturbed(
+    network: NetworkState,
+    matrix: np.ndarray,
+    default: np.ndarray,
+    sigma_frac: float,
+    z: np.ndarray,
+    low: float,
+    high: float | None = None,
+) -> None:
+    """matrix = default * (1 + sigma_frac * z) on every link, clamped to [low, high]."""
+    values = np.empty(network.link_count + 1)
+    values[-1] = 0.0
+    links = values[:-1]
+    np.multiply(default.take(network._upper), 1.0 + sigma_frac * z, out=links)
+    # maximum/minimum clamp like np.clip, with less overhead on small arrays.
+    np.maximum(links, low, out=links)
+    if high is not None:
+        np.minimum(links, high, out=links)
+    _set_links(network, matrix, values)
 
 
 def build_network(
@@ -109,22 +156,15 @@ def build_network(
     n = len(positions)
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got {n}")
-    network = NetworkState(
-        positions=positions,
-        default_distance=np.zeros((n, n)),
-        current_distance=np.zeros((n, n)),
-        default_quality=np.zeros((n, n)),
-        current_quality=np.zeros((n, n)),
-        min_coord_km=config.min_coord_km,
-    )
+    network = NetworkState(positions, config.min_coord_km)
     # math.hypot per pair, in draw order; np.hypot may differ in the last bit.
     dist = [
         math.hypot(ax - bx, ay - by)
         for (ax, ay), (bx, by) in itertools.combinations(positions.tolist(), 2)
     ]
     quality = rng.beta(config.beta_a, config.beta_b, size=len(dist))
-    _set_links(network, network.default_distance, np.array(dist))
-    _set_links(network, network.default_quality, quality)
+    _set_links(network, network.default_distance, np.array(dist + [0.0]))
+    _set_links(network, network.default_quality, np.append(quality, 0.0))
     return reset(network)
 
 
@@ -137,22 +177,25 @@ def perturb(
     [0, 1] and distances to >= min_coord_km.  sigma_frac = 0 reproduces the
     defaults bit for bit.  Draw order is fixed (qualities, then distances,
     each over the links in upper-triangle order) to keep runs reproducible.
+    Qualities are written at once; distances when current_distance is next
+    read, from the draws made here.
     """
     if sigma_frac < 0:
         raise ConfigurationError(f"sigma_frac must be >= 0, got {sigma_frac}")
     zq, zd = rng.standard_normal((2, network.link_count))
-    # maximum/minimum clamp like np.clip, with less overhead on small arrays.
-    q = network.default_quality[network.links] * (1.0 + sigma_frac * zq)
-    _set_links(network, network.current_quality, np.minimum(np.maximum(q, 0.0), 1.0))
-    d = network.default_distance[network.links] * (1.0 + sigma_frac * zd)
-    _set_links(network, network.current_distance, np.maximum(d, network.min_coord_km))
+    _write_perturbed(
+        network, network.current_quality, network.default_quality, sigma_frac, zq,
+        low=0.0, high=1.0,
+    )
+    network._distance_draws = (sigma_frac, zd)
     return network
 
 
 def reset(network: NetworkState) -> NetworkState:
     """Restore current link state to the build-time defaults, in place."""
     np.copyto(network.current_quality, network.default_quality)
-    np.copyto(network.current_distance, network.default_distance)
+    np.copyto(network._current_distance, network.default_distance)
+    network._distance_draws = None
     return network
 
 

@@ -68,6 +68,7 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> list[i
     hops = [0] * n
     parent = [-1] * n
     cost[src] = 0.0
+    rows = costs.tolist()
     remaining = list(range(n))
     u = src
     while u != dst:
@@ -75,7 +76,7 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> list[i
         cu = cost[u]
         hu = hops[u] + 1
         cost[u] = math.inf
-        row = costs[u].tolist()
+        row = rows[u]
         for v in remaining:
             c = cu + row[v]
             if c <= cost[v] and (
@@ -119,16 +120,18 @@ def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int)
     cost, then hops, then the node sequence.
     """
     costs = edge_cost_matrix(network, kind)
-    np.fill_diagonal(costs, math.inf)
+    n = network.node_count
+    costs.ravel()[:: n + 1] = math.inf
     best = costs[src].copy()  # one-hop paths; costs[src, src] is inf
     frontier = (best < best[dst]).nonzero()[0]
     best[src] = 0.0
     cost = best[frontier]
     first = frontier  # first hop of each frontier path
     hop = dst
-    columns = np.arange(network.node_count)
+    columns = np.arange(n)
     while frontier.size:
-        reach = cost[:, None] + costs[frontier]
+        reach = costs.take(frontier, axis=0)
+        reach += cost[:, None]
         via = reach.argmin(axis=0)  # frontier position of each node's best predecessor
         reach = reach[via, columns]
         if reach[dst] < best[dst]:
@@ -136,7 +139,7 @@ def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int)
             hop = first[via[dst]]
         nodes = (reach < np.minimum(best, best[dst])).nonzero()[0]
         via = via[nodes]
-        order = np.lexsort((nodes, via))
+        order = via.argsort(kind="stable")  # nodes ascend, so ties keep node order
         frontier = nodes[order]
         cost = best[frontier] = reach[frontier]
         first = first[via[order]]

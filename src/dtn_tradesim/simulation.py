@@ -202,8 +202,8 @@ def summarize_protocol_records(
 def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
     """One run: build a fresh random network, then push packet_count packets.
 
-    config is a StudyConfig, validated here; the network resets to its
-    defaults before every packet.
+    config is a StudyConfig, validated here; every packet starts from the
+    network's defaults, and the returned network is left at them.
     """
     config.validate()
     network = build_network(place_nodes(config, rng), rng, config)
@@ -214,10 +214,10 @@ def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
     routes: list[list[Route]] = [[] for _ in PROTOCOL_ORDER]
     interned: dict[Route, Route] = {}
     for k in range(config.packet_count):
-        reset(network)
         copies = simulate_packet(
             network, rng, config.sigma_frac, packet_index=k, step_budget=budget
         )
+        reset(network)
         for j, r in enumerate(copies):
             times_hr[j, k] = r.transmission_time_hr
             damaged[j, k] = r.state is PacketState.DAMAGED

@@ -82,6 +82,14 @@ def test_run_output_collision_is_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_run_too_large_for_memory_is_simulation_exit(tmp_path, capsys):
+    # numpy refuses a (3, 10**15) result array at once, before touching memory.
+    code = main(["run", "--runs", "1", "--packets", str(10**15), "--out", str(tmp_path)])
+    assert code == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
 def test_run_json_format(tmp_path):
     out_dir = str(tmp_path / "report")
     code = main(

@@ -212,11 +212,39 @@ def test_reset_restores_fresh_state():
     fresh_q = network.current_quality.copy()
     fresh_d = network.current_distance.copy()
     perturb(network, rng(2), 0.3)
-    reset(network)
+    reset(network)  # current_distance unread since perturb: its draws are dropped
     assert np.array_equal(network.current_quality, fresh_q)
     assert np.array_equal(network.current_distance, fresh_d)
     reset(network)  # idempotent
     assert np.array_equal(network.current_quality, fresh_q)
+
+
+def test_perturb_draws_one_normal_block_whether_or_not_distance_is_read():
+    network = build_random_network(seed=8, relay_count=5)
+    for read in (False, True):
+        r, twin = rng(4), rng(4)
+        perturb(network, r, 0.3)
+        if read:
+            network.current_distance
+        twin.standard_normal((2, network.link_count))
+        assert r.bit_generator.state == twin.bit_generator.state
+
+
+def test_unread_distance_follows_the_latest_perturbation():
+    # Distances are written when first read; two perturbs with no read in
+    # between must leave exactly the second draw, computed the eager way.
+    network = build_random_network(seed=8, relay_count=5)
+    sigma = 0.4
+    r, twin = rng(6), rng(6)
+    perturb(network, r, sigma)
+    perturb(network, r, sigma)
+    twin.standard_normal((2, network.link_count))
+    _, zd = twin.standard_normal((2, network.link_count))
+    rows, cols = np.nonzero(network.links)
+    d = np.maximum(network.default_distance[rows, cols] * (1.0 + sigma * zd), network.min_coord_km)
+    want = np.zeros_like(network.default_distance)
+    want[rows, cols] = want[cols, rows] = d
+    assert np.array_equal(network.current_distance, want)
 
 
 def test_build_network_validation():
