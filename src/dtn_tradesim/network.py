@@ -60,13 +60,12 @@ def _link_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     links is the upper-triangle mask; selecting with it visits the links
     (a < b) in row-major order, the order in which link values are drawn.
-    upper holds the same links as flat positions in an n x n matrix.  slots
-    maps each matrix entry to its link's draw-order position, and the
-    diagonal to link_count, one past the last link.
+    upper holds the same links as flat positions in an n x n matrix, and
+    slots maps each off-diagonal entry to its link's draw-order position.
     """
     links = np.triu(np.ones((n, n), dtype=bool), 1)
     rows, cols = links.nonzero()
-    slots = np.full((n, n), len(rows))
+    slots = np.zeros((n, n), dtype=np.intp)
     slots[rows, cols] = slots[cols, rows] = np.arange(len(rows))
     layout = (links, rows * n + cols, slots)
     for array in layout:
@@ -108,40 +107,15 @@ class NetworkState:
         if self._distance_draws is not None:
             sigma_frac, zd = self._distance_draws
             self._distance_draws = None
-            _write_perturbed(
-                self, self._current_distance, self.default_distance, sigma_frac, zd,
-                low=self.min_coord_km,
-            )
+            d = self.default_distance.take(self._upper) * (1.0 + sigma_frac * zd)
+            _set_links(self, self._current_distance, np.maximum(d, self.min_coord_km))
         return self._current_distance
 
 
 def _set_links(network: NetworkState, matrix: np.ndarray, values: np.ndarray) -> None:
-    """Write per-link values to both triangles of matrix and 0 to its diagonal.
-
-    values holds the link_count values in draw order, then the diagonal's 0.
-    """
+    """Write per-link values, given in draw order, to both triangles of matrix."""
     values.take(network._slots, out=matrix, mode="clip")  # "raise" would buffer
-
-
-def _write_perturbed(
-    network: NetworkState,
-    matrix: np.ndarray,
-    default: np.ndarray,
-    sigma_frac: float,
-    z: np.ndarray,
-    low: float,
-    high: float | None = None,
-) -> None:
-    """matrix = default * (1 + sigma_frac * z) on every link, clamped to [low, high]."""
-    values = np.empty(network.link_count + 1)
-    values[-1] = 0.0
-    links = values[:-1]
-    np.multiply(default.take(network._upper), 1.0 + sigma_frac * z, out=links)
-    # maximum/minimum clamp like np.clip, with less overhead on small arrays.
-    np.maximum(links, low, out=links)
-    if high is not None:
-        np.minimum(links, high, out=links)
-    _set_links(network, matrix, values)
+    matrix.ravel()[:: network.node_count + 1] = 0.0
 
 
 def build_network(
@@ -163,8 +137,8 @@ def build_network(
         for (ax, ay), (bx, by) in itertools.combinations(positions.tolist(), 2)
     ]
     quality = rng.beta(config.beta_a, config.beta_b, size=len(dist))
-    _set_links(network, network.default_distance, np.array(dist + [0.0]))
-    _set_links(network, network.default_quality, np.append(quality, 0.0))
+    _set_links(network, network.default_distance, np.array(dist))
+    _set_links(network, network.default_quality, quality)
     return reset(network)
 
 
@@ -183,10 +157,9 @@ def perturb(
     if sigma_frac < 0:
         raise ConfigurationError(f"sigma_frac must be >= 0, got {sigma_frac}")
     zq, zd = rng.standard_normal((2, network.link_count))
-    _write_perturbed(
-        network, network.current_quality, network.default_quality, sigma_frac, zq,
-        low=0.0, high=1.0,
-    )
+    # maximum/minimum clamp like np.clip, with less overhead on small arrays.
+    q = network.default_quality.take(network._upper) * (1.0 + sigma_frac * zq)
+    _set_links(network, network.current_quality, np.minimum(np.maximum(q, 0.0), 1.0))
     network._distance_draws = (sigma_frac, zd)
     return network
 
