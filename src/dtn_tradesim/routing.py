@@ -29,85 +29,78 @@ PROTOCOL_COST_KIND = {
     ProtocolKind.QUALITY_DIJKSTRA: CostKind.QUALITY_COMPLEMENT,
 }
 
-# next_hop switches from _search to _layered_next_hop at this graph size.
-# Timed per search on states captured from studies, the layered search is
-# slower up to about 18 relays, breaks even up to about 24 and wins from 26
+# _dijkstra_next_hop switches from _search to _layered_next_hop at this graph
+# size.  Timed per search on states captured from studies, the layered search
+# is slower up to about 18 relays, breaks even up to about 24 and wins from 26
 # relays (28 nodes) up: numpy's per-call overhead outweighs the list loop on
 # small graphs.
 LAYERED_MIN_NODES = 28
 
 
 def dijkstra_path(network: NetworkState, kind: CostKind, src: int, dst: int) -> Route:
-    """Minimum-cost simple path from src to dst under the given cost kind.
+    """Route that the next hops under the given cost kind trace from src to dst.
 
-    Equal-cost alternatives resolve to the fewest hops and remaining ties to
-    the lexicographically smallest node sequence.  Preferring fewer hops
-    keeps step-by-step replanning loop-free even when whole neighborhoods tie
-    at zero cost.
+    Each hop is the first hop of the best path from the current node, so on a
+    fixed state this is the minimum-cost route a packet follows.  Preferring
+    fewer hops among equal-cost paths keeps step-by-step replanning loop-free
+    even when whole neighborhoods tie at zero cost.
     """
     _check_endpoints(network, src, dst)
-    parent = _search(network, kind, src, dst)
-    route = [dst]
-    while route[-1] != src:
-        route.append(parent[route[-1]])
-    return tuple(reversed(route))
+    route = [src]
+    while route[-1] != dst:
+        route.append(_dijkstra_next_hop(network, kind, route[-1], dst))
+    return tuple(route)
 
 
-def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> list[int]:
-    """Dense Dijkstra from src, stopped once dst settles; returns parent ids.
+def _dijkstra_next_hop(
+    network: NetworkState, kind: CostKind, src: int, dst: int
+) -> int:
+    search = _layered_next_hop if network.node_count >= LAYERED_MIN_NODES else _search
+    return search(network, kind, src, dst)
 
-    Each node carries (cost, hops, parent); labels order by cost, then hop
-    count, then the node sequence of the path they encode.  Costs are
-    non-negative, so a settled node's label is final and its cost row is
-    read exactly once.  Paths are compared through their parent chains, and
-    only when cost and hop count tie exactly.
+
+def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
+    """First hop from src toward dst by dense Dijkstra, stopped once dst settles.
+
+    Labels are (cost, hops, first hop), compared in that order: paths with
+    equal cost and hops that start alike give every extension the same first
+    hop, so the first hop settles the lexicographic order.  Exact cost ties
+    settle the fewer-hop node first; nodes equal in both cannot improve each
+    other, as a path through one adds a hop.  Costs are non-negative, so a
+    settled label is final and each cost row is read once.
     """
-    costs = edge_cost_matrix(network, kind)
+    rows = edge_cost_matrix(network, kind).tolist()
     n = network.node_count
-    cost = [math.inf] * n  # settled nodes go back to inf so min() skips them
-    hops = [0] * n
-    parent = [-1] * n
-    cost[src] = 0.0
-    rows = costs.tolist()
+    cost = rows[src]  # one-hop labels, whose first hop is their end node
+    cost[src] = math.inf  # settled nodes go to inf so min() skips them
+    hops = [1] * n
+    first = list(range(n))
     remaining = list(range(n))
-    u = src
-    while u != dst:
-        remaining.remove(u)
-        cu = cost[u]
-        hu = hops[u] + 1
-        cost[u] = math.inf
-        row = rows[u]
-        for v in remaining:
-            c = cu + row[v]
-            if c <= cost[v] and (
-                c < cost[v]
-                or hu < hops[v]
-                or (hu == hops[v] and _precedes(parent, u, parent[v]))
-            ):
-                cost[v] = c
-                hops[v] = hu
-                parent[v] = u
+    remaining.remove(src)
+    while True:
         best = min(cost)
         u = cost.index(best)
         if cost.count(best) > 1:
             for v in remaining:
-                if v != u and cost[v] == best and (
-                    hops[v] < hops[u] or (hops[v] == hops[u] and _precedes(parent, v, u))
-                ):
+                if cost[v] == best and hops[v] < hops[u]:
                     u = v
-    return parent
-
-
-def _precedes(parent: list[int], a: int, b: int) -> bool:
-    """True if the tree path to a sorts before the equally long path to b."""
-    while parent[a] != parent[b]:
-        a = parent[a]
-        b = parent[b]
-    return a < b
+        if u == dst:
+            return first[u]
+        remaining.remove(u)
+        cost[u] = math.inf
+        hu = hops[u] + 1
+        fu = first[u]
+        row = rows[u]
+        for v in remaining:
+            c = best + row[v]
+            if c < cost[v] or (c == cost[v] and (hu, fu) < (hops[v], first[v])):
+                cost[v] = c
+                hops[v] = hu
+                first[v] = fu
 
 
 def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
-    """First hop of the path _search finds, by hop-indexed relaxation.
+    """The first hop _search returns, found by hop-indexed relaxation.
 
     Layer k holds each node's cheapest exactly-k-hop path, kept only if it is
     strictly cheaper than the node's fewer-hop paths and than the best path
@@ -194,14 +187,7 @@ def next_hop(
     _check_endpoints(network, current, dst)
     if protocol is ProtocolKind.BUNDLE:
         return _bundle_next_hop(network, current, dst)
-    kind = PROTOCOL_COST_KIND[protocol]
-    if network.node_count >= LAYERED_MIN_NODES:
-        return _layered_next_hop(network, kind, current, dst)
-    parent = _search(network, kind, current, dst)
-    hop = dst
-    while parent[hop] != current:
-        hop = parent[hop]
-    return hop
+    return _dijkstra_next_hop(network, PROTOCOL_COST_KIND[protocol], current, dst)
 
 
 def most_frequent_path(routes: Iterable[Sequence[int]]) -> Route:

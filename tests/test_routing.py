@@ -180,9 +180,13 @@ def test_next_hop_matches_reference_tie_order():
     assert decisions == 2 * 40 * (2 + 3 + 5 + 11 + 31)
 
 
+# Both first-hop kernels, called directly, so each is checked on both sides of
+# routing.LAYERED_MIN_NODES.
+KERNELS = (routing._search, routing._layered_next_hop)
+
+
 @pytest.mark.parametrize("relay_count", [0, 1, 2, 4, 10, 30, 60])
 def test_layered_search_matches_reference(relay_count):
-    # Called directly, so graphs below routing.LAYERED_MIN_NODES are checked too.
     # relay_count 0 is the two-node network: the probe and the ground station.
     def build(seed):
         if relay_count == 0:
@@ -208,7 +212,8 @@ def test_layered_search_matches_reference(relay_count):
                 if src == dst:
                     continue
                 want = reference_dijkstra_path(network, kind, src, dst)[1]
-                assert routing._layered_next_hop(network, kind, src, dst) == want, (kind, src)
+                for kernel in KERNELS:
+                    assert kernel(network, kind, src, dst) == want, (kernel, kind, src)
                 decisions += 1
     assert decisions == 9 * 2 * (relay_count + 1)
 
@@ -217,7 +222,8 @@ def test_layered_search_keeps_fewer_hops_on_equal_cost():
     # 0-2-1 (2 hops) and 0-3-4-1 (3 hops) both cost exactly 2 s.  The longer
     # path reaches the ground one layer later through 4, which is still
     # cheaper than the best ground label then, so only the strict comparison
-    # keeps relay 2 as the next hop.
+    # keeps relay 2 as the next hop.  In _search the two ground labels tie on
+    # cost and the hop count decides.
     network = build_custom_network(
         [
             (NodeKind.PROBE, 0.0, 0.0),
@@ -234,7 +240,8 @@ def test_layered_search_keeps_fewer_hops_on_equal_cost():
     kind = CostKind.TRANSMISSION_TIME
     assert path_cost(network, kind, (0, 3, 4, 1)) == path_cost(network, kind, (0, 2, 1)) == 2.0
     assert reference_dijkstra_path(network, kind, 0, 1) == (0, 2, 1)
-    assert routing._layered_next_hop(network, kind, 0, 1) == 2
+    for kernel in KERNELS:
+        assert kernel(network, kind, 0, 1) == 2, kernel
 
 
 def test_next_hop_switches_to_layered_search_on_large_graphs(monkeypatch):
@@ -245,10 +252,13 @@ def test_next_hop_switches_to_layered_search_on_large_graphs(monkeypatch):
     large = build_random_network(seed=31, relay_count=60)
     small = build_random_network(seed=31, relay_count=10)
     for protocol, kind in routing.PROTOCOL_COST_KIND.items():
-        want = reference_dijkstra_path(large, kind, large.probe_id, large.ground_id)[1]
-        assert next_hop(large, protocol, large.probe_id, large.ground_id) == want
+        want = reference_dijkstra_path(large, kind, large.probe_id, large.ground_id)
+        assert next_hop(large, protocol, large.probe_id, large.ground_id) == want[1]
+        assert dijkstra_path(large, kind, large.probe_id, large.ground_id) == want
         with pytest.raises(RuntimeError, match="_search called"):
             next_hop(small, protocol, small.probe_id, small.ground_id)
+        with pytest.raises(RuntimeError, match="_search called"):
+            dijkstra_path(small, kind, small.probe_id, small.ground_id)
 
 
 def test_dijkstra_next_hops_replay_whole_path_when_static():
