@@ -44,7 +44,7 @@ def _csv_cell(value: object) -> object:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return value
 
 

@@ -133,7 +133,7 @@ def _reference_csv_cell(value: object) -> object:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return value
 
 
@@ -142,9 +142,9 @@ def reference_write_table(
 ) -> list[str]:
     """Cell-by-cell stdlib table writer: the byte reference for report tables.
 
-    CSV goes through csv.writer one row at a time with floats as repr and
-    bools lowercase; JSON through json.dump(indent=2) over one dict per row,
-    with NaN replaced by None.
+    CSV goes through csv.writer one row at a time with floats as
+    float.__repr__ and bools lowercase; JSON through json.dump(indent=2) over
+    one dict per row, with NaN replaced by None.
     """
     written = []
     if fmt in ("csv", "both"):

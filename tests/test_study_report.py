@@ -322,6 +322,14 @@ def test_write_table_matches_stdlib_reference(tmp_path, monkeypatch, name):
     assert encoded_at == ends
 
 
+def test_csv_writes_numpy_floats_as_plain_floats(tmp_path):
+    # repr of a numpy float is "np.float64(0.1)" under numpy 2; a mixed column
+    # renders cell by cell and must still write the float's own text.
+    rows = [(np.float64(0.1), 1), (np.float64(math.nan), 2.5)]
+    _write_table(str(tmp_path), "t", ["x", "y"], rows, "csv")
+    assert (tmp_path / "t.csv").read_text() == "x,y\n0.1,1\nnan,2.5\n"
+
+
 def run_slices(ext, data):
     """Split a merged network table's bytes by run and drop the run column.
 
