@@ -20,6 +20,9 @@ _BETA_REL_TOL = 1e-10
 _BETA_MAX_ITER = 500
 _TINY = 1e-300
 
+# One-tailed p below this marks a Welch test significant.
+SIGNIFICANCE_LEVEL = 0.05
+
 logger = logging.getLogger(__name__)
 
 
@@ -136,7 +139,7 @@ class TTestResult:
     significant: bool
 
 
-def welch_t(s1: SummaryStats, s2: SummaryStats, alpha: float = 0.05) -> TTestResult:
+def welch_t(s1: SummaryStats, s2: SummaryStats) -> TTestResult:
     """Welch's unequal-variance t-test from summary statistics.
 
     t = (m1 - m2) / sqrt(s1^2/n1 + s2^2/n2); degrees of freedom follow
@@ -153,7 +156,7 @@ def welch_t(s1: SummaryStats, s2: SummaryStats, alpha: float = 0.05) -> TTestRes
     t = (s1.mean - s2.mean) / math.sqrt(pooled)
     df = pooled**2 / (v1**2 / (s1.n - 1) + v2**2 / (s2.n - 1))
     p = student_t_upper_tail(abs(t), df)
-    return TTestResult(t=t, df=df, p=p, significant=p < alpha)
+    return TTestResult(t=t, df=df, p=p, significant=p < SIGNIFICANCE_LEVEL)
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ PROTOCOL_PAIRS = tuple(itertools.combinations(ProtocolKind, 2))
 PairwiseTests = dict[str, dict[tuple[ProtocolKind, ProtocolKind], TTestResult]]
 
 
-def significance_matrix(study: StudySummary, alpha: float = 0.05) -> PairwiseTests:
+def significance_matrix(study: StudySummary) -> PairwiseTests:
     """Welch tests for every ordered protocol pair on both metrics.
 
     Both orientations of each pair are present: the reverse cell negates t
@@ -193,7 +196,7 @@ def significance_matrix(study: StudySummary, alpha: float = 0.05) -> PairwiseTes
             if a in flat and b in flat:
                 result = TTestResult(math.nan, math.nan, math.nan, False)
             else:
-                result = welch_t(cells[a], cells[b], alpha=alpha)
+                result = welch_t(cells[a], cells[b])
             entries[(a, b)] = result
             entries[(b, a)] = replace(result, t=-result.t)
         out[metric.name] = entries
