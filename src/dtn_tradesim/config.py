@@ -33,10 +33,11 @@ def _shown(value: object) -> str:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything one reproducible study needs.
+    """Everything one reproducible study needs, checked when built.
 
     seed is the master seed; each run derives its own stream from it, so a
-    study is fully determined by this object.
+    study is fully determined by this object.  A bad value raises
+    ConfigurationError from the constructor, and so from dataclasses.replace.
     """
 
     packet_count: int = 500
@@ -53,7 +54,7 @@ class StudyConfig:
     baseline: ProtocolKind = ProtocolKind.BUNDLE
     step_budget_factor: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             kind = type(f.default)
@@ -140,21 +141,19 @@ def load_config(
     """Resolve a config: defaults, then the file, then explicit overrides.
 
     String values are converted to their field's type, so config files and
-    command-line flags share one path; other values are checked by validate.
+    command-line flags share one path; StudyConfig checks the result.
     """
     values = {} if path is None else parse_config_file(path)
     for key, value in (overrides or {}).items():
         values[key] = _convert(key, value)
-    config = StudyConfig(**values)
-    config.validate()
-    return config
+    return StudyConfig(**values)
 
 
 def config_lines(config: StudyConfig) -> list[str]:
     """Canonical key=value rendering of a resolved config.
 
-    Float keys render through float, so an int given for one (which validate
-    accepts) reads and hashes the same as its float spelling.
+    Float keys render through float, so an int given for one (which
+    StudyConfig accepts) reads and hashes the same as its float spelling.
     """
     out = []
     for f in fields(config):

@@ -202,10 +202,9 @@ def summarize_protocol_records(
 def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
     """One run: build a fresh random network, then push packet_count packets.
 
-    config is a StudyConfig, validated here; every packet starts from the
-    network's defaults, and the returned network is left at them.
+    config is a StudyConfig, checked when it was built; every packet starts
+    from the network's defaults, and the returned network is left at them.
     """
-    config.validate()
     network = build_network(place_nodes(config, rng), rng, config)
     budget = config.step_budget_factor * network.node_count
     shape = (len(PROTOCOL_ORDER), config.packet_count)

@@ -67,7 +67,6 @@ def run_study(config: StudyConfig) -> StudyReport:
     downstream (summary stats, pairwise tests, decision tables, frequent
     routes) is computed from the collected run data.
     """
-    config.validate()
     runs: list[RunResult] = []
     for i in range(config.run_count):
         rng = np.random.default_rng(run_seed(config.seed, i))

@@ -32,7 +32,6 @@ def rng(seed: int = 0) -> np.random.Generator:
 def build_random_network(seed: int, **keys) -> NetworkState:
     """Random network for a StudyConfig with the given keys overridden."""
     cfg = StudyConfig(**keys)
-    cfg.validate()
     r = rng(seed)
     return build_network(place_nodes(cfg, r), r, cfg)
 

@@ -1,5 +1,6 @@
 """Configuration resolution: defaults, file parsing, overrides, validation."""
 
+import dataclasses
 import math
 import re
 from dataclasses import fields
@@ -121,6 +122,11 @@ def test_override_strings_are_converted():
 def test_invalid_values_rejected(overrides):
     with pytest.raises(ConfigurationError):
         load_config(None, overrides)
+    if "bogus_key" not in overrides:  # a field: building the config refuses it
+        with pytest.raises(ConfigurationError):
+            StudyConfig(**overrides)
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(StudyConfig(), **overrides)
 
 
 @pytest.mark.parametrize("key", ["end_to_end_km", "seed"])
