@@ -38,6 +38,10 @@ _CHUNK_ROWS = 2000
 # Float repr text that JSON spells differently (NaN is written as null).
 _JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
+# Cell types that csv.writer itself writes as _csv_cell would: it writes a
+# float by repr, and repr of a numpy float or str of a bool is not the cell.
+_CSV_OWN_TYPES = {float, int, str}
+
 
 def _csv_cell(value: object) -> object:
     """CSV cell rendering: floats via shortest round-trip repr, bools lowercase."""
@@ -59,16 +63,6 @@ def _column_type(cells: tuple) -> type | None:
     """The exact type every cell shares, or None for a mixed column."""
     kinds = set(map(type, cells))
     return kinds.pop() if len(kinds) == 1 else None
-
-
-def _csv_column(cells: tuple):
-    """One column's cells as CSV cells; a single map for a column of floats."""
-    kind = _column_type(cells)
-    if kind is float:
-        return map(float.__repr__, cells)
-    if kind is int or kind is str:
-        return cells
-    return map(_csv_cell, cells)
 
 
 def _json_column(cells: tuple):
@@ -96,9 +90,9 @@ def _write_table(
     The bytes are those of csv.writer over _csv_cell of each cell, and of
     json.dump(indent=2) over one object per row with NaN as null.  rows is
     consumed once, _CHUNK_ROWS at a time, so of a table built lazily only one
-    chunk is held.  Each chunk is transposed once and both formats encode it
-    column by column, so a column whose cells share one type is encoded by a
-    single map.
+    chunk is held.  A chunk whose cells all have one of _CSV_OWN_TYPES goes to
+    csv.writer as it is; JSON transposes each chunk and encodes it column by
+    column, so a column whose cells share one type is encoded by a single map.
     """
     written = [f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
     with contextlib.ExitStack() as stack:
@@ -115,14 +109,18 @@ def _write_table(
             row_text = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
         separator = "[\n"
         rows = iter(rows)
-        while cells := list(zip(*islice(rows, _CHUNK_ROWS))):  # one chunk, by column
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
             if writer:
-                writer.writerows(zip(*map(_csv_column, cells)))
+                if _CSV_OWN_TYPES.issuperset(map(type, chain.from_iterable(chunk))):
+                    writer.writerows(chunk)
+                else:
+                    writer.writerows(map(_csv_cell, row) for row in chunk)
             if json_fh:
                 json_fh.write(separator)
-                json_fh.write(",\n".join(map(row_text.__mod__, zip(*map(_json_column, cells)))))
+                by_column = map(_json_column, zip(*chunk))  # back to rows in the join
+                json_fh.write(",\n".join(map(row_text.__mod__, zip(*by_column))))
                 separator = ",\n"
-            del cells  # drop this chunk before the next is cut
+            chunk = by_column = None  # drop this chunk before the next is cut
         if json_fh:
             json_fh.write("[]\n" if separator == "[\n" else "\n]\n")
     return written

@@ -276,6 +276,7 @@ def adversarial_tables():
                 (False, None, math.nan, -1, None),
             ],
         ),
+        "flags": (["flag", "value"], [(True, 1), (False, 2.5), (True, "x")]),
         "text": (
             ["text", "share %", 'quoted "key"', "\u00fcber"],
             [(t, t, len(t), t.upper()) for t in texts],
@@ -320,6 +321,12 @@ def test_write_table_matches_stdlib_reference(tmp_path, monkeypatch, name):
     # Each chunk is encoded as soon as its last row is pulled, and no sooner.
     ends = {min(start + _CHUNK_ROWS, len(rows)) for start in range(0, len(rows), _CHUNK_ROWS)}
     assert encoded_at == ends
+    # CSV alone skips the JSON side's transposition.
+    only_csv = tmp_path / "csv"
+    only_csv.mkdir()
+    csv_file = f"{name}.csv"
+    assert _write_table(str(only_csv), name, columns, iter(rows), "csv") == [csv_file]
+    assert (only_csv / csv_file).read_bytes() == (reference / csv_file).read_bytes()
 
 
 def test_csv_writes_numpy_floats_as_plain_floats(tmp_path):
