@@ -30,11 +30,12 @@ PROTOCOL_COST_KIND = {
 }
 
 # _dijkstra_next_hop switches from _search to _layered_next_hop at this graph
-# size.  Timed per search on states captured from studies, the layered search
-# is slower up to about 18 relays, breaks even up to about 24 and wins from 26
-# relays (28 nodes) up: numpy's per-call overhead outweighs the list loop on
-# small graphs.
-LAYERED_MIN_NODES = 28
+# size.  Timed per search (seed 1, 40 perturbed states, every source, both
+# cost kinds, three passes), the layered search is slower up to 14 relays
+# (28-34 against 21-24 us at 10), ties at 16 and wins in every pass from 18
+# relays (20 nodes) up (42-47 against 72-74 us at 26): numpy's per-call
+# overhead outweighs the list loop on small graphs.
+LAYERED_MIN_NODES = 20
 
 
 def dijkstra_path(network: NetworkState, kind: CostKind, src: int, dst: int) -> Route:
@@ -156,8 +157,7 @@ def _bundle_next_hop(network: NetworkState, current: int, dst: int) -> int:
     the probe the direct hop to the ground station is excluded whenever
     relays exist.  An empty candidate set falls back to dst.
     """
-    to_dst = network.default_distance[dst].tolist()
-    to_dst[dst] = 0.0
+    to_dst = network.default_distance[dst].tolist()  # _set_links wrote 0.0 at dst
     quality = network.current_quality[current].tolist()
     cur_d = to_dst[current]
     skip_direct = current == network.probe_id and network.node_count > 2
