@@ -30,11 +30,11 @@ PROTOCOL_COST_KIND = {
 }
 
 # _dijkstra_next_hop switches from _search to _layered_next_hop at this graph
-# size.  Timed per search (seed 1, 40 perturbed states, every source, both
-# cost kinds, three passes), the layered search is slower up to 14 relays
-# (28-34 against 21-24 us at 10), ties at 16 and wins in every pass from 18
-# relays (20 nodes) up (42-47 against 72-74 us at 26): numpy's per-call
-# overhead outweighs the list loop on small graphs.
+# size.  Timed per search on a 2-vCPU VM (seed 1, 40 perturbed states, every
+# source, both cost kinds, three passes), the layered search is slower up to
+# 14 relays (28-34 against 21-24 us at 10), ties at 16 and wins in every pass
+# from 18 relays (20 nodes) up (42-47 against 72-74 us at 26): numpy's
+# per-call overhead outweighs the list loop on small graphs.
 LAYERED_MIN_NODES = 20
 
 
