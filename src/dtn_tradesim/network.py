@@ -3,7 +3,8 @@
 The network is a complete graph over one deep-space probe, one ground
 station, and a configurable number of relay satellites.  Every link keeps
 a default (build-time) distance and quality plus a current value that a
-per-step perturbation jitters around the default.
+per-step perturbation jitters around the default; a perturbation writes
+every link's current quality and distance at once.
 """
 
 from __future__ import annotations
@@ -60,14 +61,15 @@ def _link_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     links is the upper-triangle mask; selecting with it visits the links
     (a < b) in row-major order, the order in which link values are drawn.
-    upper holds the same links as flat positions in an n x n matrix, and
-    slots maps each off-diagonal entry to its link's draw-order position.
+    gather holds the flat position in an n x n matrix of the diagonal entry
+    (0, 0), then of each link in draw order.  slots maps every matrix entry
+    to its position in gather: 1 + draw order off the diagonal, and 0 on it.
     """
     links = np.triu(np.ones((n, n), dtype=bool), 1)
     rows, cols = links.nonzero()
     slots = np.zeros((n, n), dtype=np.intp)
-    slots[rows, cols] = slots[cols, rows] = np.arange(len(rows))
-    layout = (links, rows * n + cols, slots)
+    slots[rows, cols] = slots[cols, rows] = np.arange(1, len(rows) + 1)
+    layout = (links, np.concatenate(([0], rows * n + cols)), slots)
     for array in layout:
         array.setflags(write=False)
     return layout
@@ -80,7 +82,9 @@ class NetworkState:
     station always hold ids PROBE_ID and GROUND_ID.  Link attributes are
     symmetric n x n arrays indexed by node id: ``current_quality[a, b]`` is
     the current quality of the link between a and b.  The diagonal holds no
-    link and stays zero.
+    link and stays zero.  The default and the current values are each one
+    (2, n, n) stack, quality layer then distance layer, and the four link
+    attributes are views of those layers.
     """
 
     probe_id = PROBE_ID
@@ -92,30 +96,16 @@ class NetworkState:
         self.min_coord_km = min_coord_km
         self.node_count = n
         self.link_count = n * (n - 1) // 2
-        self.links, self._upper, self._slots = _link_layout(n)
-        self.default_distance = np.zeros((n, n))
-        self.default_quality = np.zeros((n, n))
-        self.current_quality = np.zeros((n, n))
-        self._current_distance = np.zeros((n, n))
-        # (sigma_frac, distance normals) of the last perturbation while its
-        # distances are not yet written; None once current_distance is.
-        self._distance_draws: tuple[float, np.ndarray] | None = None
-
-    @property
-    def current_distance(self) -> np.ndarray:
-        """Current link distances, written on the first read after a perturbation."""
-        if self._distance_draws is not None:
-            sigma_frac, zd = self._distance_draws
-            self._distance_draws = None
-            d = self.default_distance.take(self._upper) * (1.0 + sigma_frac * zd)
-            _set_links(self, self._current_distance, np.maximum(d, self.min_coord_km))
-        return self._current_distance
+        self.links, self._gather, self._slots = _link_layout(n)
+        self._defaults = np.zeros((2, n, n))
+        self._current = np.zeros((2, n, n))
+        self.default_quality, self.default_distance = self._defaults
+        self.current_quality, self.current_distance = self._current
 
 
-def _set_links(network: NetworkState, matrix: np.ndarray, values: np.ndarray) -> None:
-    """Write per-link values, given in draw order, to both triangles of matrix."""
-    values.take(network._slots, out=matrix, mode="clip")  # "raise" would buffer
-    matrix.ravel()[:: network.node_count + 1] = 0.0
+def _set_links(network: NetworkState, stack: np.ndarray, values: np.ndarray) -> None:
+    """Write (2, link_count + 1) values, in gather's order, to a (2, n, n) stack."""
+    values.take(network._slots, axis=1, out=stack, mode="clip")  # "raise" would buffer
 
 
 def build_network(
@@ -131,14 +121,14 @@ def build_network(
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got {n}")
     network = NetworkState(positions, config.min_coord_km)
+    values = np.zeros((2, network.link_count + 1))
+    values[0, 1:] = rng.beta(config.beta_a, config.beta_b, size=network.link_count)
     # math.hypot per pair, in draw order; np.hypot may differ in the last bit.
-    dist = [
+    values[1, 1:] = [
         math.hypot(ax - bx, ay - by)
         for (ax, ay), (bx, by) in itertools.combinations(positions.tolist(), 2)
     ]
-    quality = rng.beta(config.beta_a, config.beta_b, size=len(dist))
-    _set_links(network, network.default_distance, np.array(dist))
-    _set_links(network, network.default_quality, quality)
+    _set_links(network, network._defaults, values)
     return reset(network)
 
 
@@ -148,27 +138,29 @@ def perturb(
     """Redraw current link state around the defaults, in place.
 
     Each value is Normal(default, sigma_frac * default); qualities clamp to
-    [0, 1] and distances to >= min_coord_km.  sigma_frac = 0 reproduces the
-    defaults bit for bit.  Draw order is fixed (qualities, then distances,
+    [0, 1] and distances to >= min_coord_km.  So sigma_frac = 0 reproduces
+    the defaults, except that a default distance below min_coord_km comes
+    back as min_coord_km.  Draw order is fixed (qualities, then distances,
     each over the links in upper-triangle order) to keep runs reproducible.
-    Qualities are written at once; distances when current_distance is next
-    read, from the draws made here.
+    Both layers are written at once.
     """
     if sigma_frac < 0:
         raise ConfigurationError(f"sigma_frac must be >= 0, got {sigma_frac}")
-    zq, zd = rng.standard_normal((2, network.link_count))
+    z = rng.standard_normal((2, network.link_count))
+    values = network._defaults.reshape(2, -1).take(network._gather, axis=1)
+    jittered = values[:, 1:]  # column 0 is the diagonal's zero
+    jittered *= 1.0 + sigma_frac * z
+    q, d = jittered
     # maximum/minimum clamp like np.clip, with less overhead on small arrays.
-    q = network.default_quality.take(network._upper) * (1.0 + sigma_frac * zq)
-    _set_links(network, network.current_quality, np.minimum(np.maximum(q, 0.0), 1.0))
-    network._distance_draws = (sigma_frac, zd)
+    np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)
+    np.maximum(d, network.min_coord_km, out=d)
+    _set_links(network, network._current, values)
     return network
 
 
 def reset(network: NetworkState) -> NetworkState:
     """Restore current link state to the build-time defaults, in place."""
-    np.copyto(network.current_quality, network.default_quality)
-    np.copyto(network._current_distance, network.default_distance)
-    network._distance_draws = None
+    np.copyto(network._current, network._defaults)
     return network
 
 

@@ -157,7 +157,7 @@ def _bundle_next_hop(network: NetworkState, current: int, dst: int) -> int:
     the probe the direct hop to the ground station is excluded whenever
     relays exist.  An empty candidate set falls back to dst.
     """
-    to_dst = network.default_distance[dst].tolist()  # _set_links wrote 0.0 at dst
+    to_dst = network.default_distance[dst].tolist()  # diagonal: 0.0 at dst
     quality = network.current_quality[current].tolist()
     cur_d = to_dst[current]
     skip_direct = current == network.probe_id and network.node_count > 2

@@ -163,6 +163,18 @@ def test_perturb_sigma_zero_is_identity():
     assert np.array_equal(network.current_distance, network.default_distance)
 
 
+def test_perturb_sigma_zero_clamps_short_default_distances():
+    # A validated config can place links closer than min_coord_km; sigma 0
+    # keeps every quality and lifts exactly those distances to the clamp.
+    network = build_random_network(seed=0, end_to_end_km=2.5e4, min_coord_km=1.0e4)
+    short = network.links & (network.default_distance < network.min_coord_km)
+    assert np.count_nonzero(short) == 23
+    perturb(network, rng(1), 0.0)
+    assert np.array_equal(network.current_quality, network.default_quality)
+    want = np.where(short | short.T, network.min_coord_km, network.default_distance)
+    assert np.array_equal(network.current_distance, want)
+
+
 def test_perturb_rejects_negative_sigma():
     network = build_random_network(seed=8, relay_count=2)
     with pytest.raises(ConfigurationError):
@@ -212,7 +224,7 @@ def test_reset_restores_fresh_state():
     fresh_q = network.current_quality.copy()
     fresh_d = network.current_distance.copy()
     perturb(network, rng(2), 0.3)
-    reset(network)  # current_distance unread since perturb: its draws are dropped
+    reset(network)  # restores both layers of the current state
     assert np.array_equal(network.current_quality, fresh_q)
     assert np.array_equal(network.current_distance, fresh_d)
     reset(network)  # idempotent
@@ -231,8 +243,8 @@ def test_perturb_draws_one_normal_block_whether_or_not_distance_is_read():
 
 
 def test_unread_distance_follows_the_latest_perturbation():
-    # Distances are written when first read; two perturbs with no read in
-    # between must leave exactly the second draw, computed the eager way.
+    # Each perturb overwrites the whole current state, so two perturbs in a
+    # row must leave exactly the second draw, computed link by link.
     network = build_random_network(seed=8, relay_count=5)
     sigma = 0.4
     r, twin = rng(6), rng(6)

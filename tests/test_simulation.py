@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dtn_tradesim.simulation as simulation
-from dtn_tradesim.errors import ConfigurationError, SimulationFault
+from dtn_tradesim.errors import SimulationFault
 from dtn_tradesim.network import (
     SPEED_OF_LIGHT_KM_S,
     CostKind,
@@ -292,22 +292,6 @@ def test_run_result_holds_columns_not_records():
     copies = cfg.packet_count * len(PROTOCOL_ORDER)
     assert held / copies < 64, f"{held / copies:.0f} B per packet copy"
     assert result.times_hr.size == copies
-
-
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {"relay_count": 0},
-        {"min_coord_km": 0.0},
-        {"end_to_end_km": 1.0e4},
-        {"beta_a": 0.0},
-        {"beta_b": -1.0},
-    ],
-    ids=lambda overrides: next(iter(overrides)),
-)
-def test_run_simulation_rejects_bad_network_keys(overrides):
-    with pytest.raises(ConfigurationError):
-        run_simulation(small_config(**overrides), rng(0))
 
 
 def test_run_simulation_summary_counts():

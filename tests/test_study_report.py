@@ -462,9 +462,13 @@ def test_default_study_golden_bundle(tmp_path, monkeypatch):
 
 
 # sha256 of packets.csv for seed-0 studies at 40 relays, 2 runs x 10 packets,
-# and at 60 relays, 5 runs x 40 packets (perfbench's dense_60 shape).
+# at 60 relays, 5 runs x 40 packets (perfbench's dense_60 shape), and at
+# 4 relays, 20 runs x 50 packets (many_runs_small's graph size).
 # The golden bundle above runs 10 relays, below routing.LAYERED_MIN_NODES;
-# these graphs are above it, so they pin the routes the layered search picks.
+# the 40- and 60-relay graphs are above it, so they pin the routes the
+# layered search picks. The 4-relay studies pin a graph with few links over
+# many runs, so many network builds, resets and perturbations.
+_RELAYS_4 = {"relay_count": 4, "run_count": 20, "packet_count": 50}
 _RELAYS_40 = {"relay_count": 40, "run_count": 2, "packet_count": 10}
 _RELAYS_60 = {"relay_count": 60, "run_count": 5, "packet_count": 40}
 
@@ -482,8 +486,20 @@ _RELAYS_60 = {"relay_count": 60, "run_count": 5, "packet_count": 40}
             {**_RELAYS_60, "sigma_frac": 0.6},
             "5ec84b53ac28a9604cc17bf837c80fab4999ad090bf7c831ff92e5906cdcc564",
         ),
+        (_RELAYS_4, "ccc877a60495e316cdf576a0d364cb26efb6a72eea1f9b2aff742c293e7042cf"),
+        (
+            {**_RELAYS_4, "sigma_frac": 0.6},
+            "d90021dab8cf58b82e147f6dacac29b170d4eff1667d7035f4eeba914ee059e0",
+        ),
     ],
-    ids=["default", "sigma_0.6", "60_relays_default", "60_relays_sigma_0.6"],
+    ids=[
+        "default",
+        "sigma_0.6",
+        "60_relays_default",
+        "60_relays_sigma_0.6",
+        "4_relays_default",
+        "4_relays_sigma_0.6",
+    ],
 )
 def test_large_relay_graph_golden_packets(tmp_path, keys, digest):
     config = StudyConfig(seed=0, out_dir=str(tmp_path), **keys)
