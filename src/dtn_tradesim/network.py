@@ -61,15 +61,19 @@ def _link_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     links is the upper-triangle mask; selecting with it visits the links
     (a < b) in row-major order, the order in which link values are drawn.
-    gather holds the flat position in an n x n matrix of the diagonal entry
-    (0, 0), then of each link in draw order.  slots maps every matrix entry
-    to its position in gather: 1 + draw order off the diagonal, and 0 on it.
+    A link block is a flat array of 1 + 2 * link_count values: a zero for
+    the diagonal, then every link's quality and then every link's distance,
+    each in draw order.  gather holds the flat position in a (2, n, n) stack
+    of each block value after the zero; slots maps every stack entry to its
+    position in the block, 0 on both diagonals.
     """
     links = np.triu(np.ones((n, n), dtype=bool), 1)
     rows, cols = links.nonzero()
-    slots = np.zeros((n, n), dtype=np.intp)
-    slots[rows, cols] = slots[cols, rows] = np.arange(1, len(rows) + 1)
-    layout = (links, np.concatenate(([0], rows * n + cols)), slots)
+    gather = rows * n + cols
+    slots = np.zeros((2, n, n), dtype=np.intp)
+    in_block = np.arange(1, 2 * len(rows) + 1).reshape(2, -1)
+    slots[:, rows, cols] = slots[:, cols, rows] = in_block
+    layout = (links, np.concatenate((gather, gather + n * n)), slots)
     for array in layout:
         array.setflags(write=False)
     return layout
@@ -103,9 +107,9 @@ class NetworkState:
         self.current_quality, self.current_distance = self._current
 
 
-def _set_links(network: NetworkState, stack: np.ndarray, values: np.ndarray) -> None:
-    """Write (2, link_count + 1) values, in gather's order, to a (2, n, n) stack."""
-    values.take(network._slots, axis=1, out=stack, mode="clip")  # "raise" would buffer
+def _set_links(network: NetworkState, stack: np.ndarray, block: np.ndarray) -> None:
+    """Write a link block (see _link_layout) to a (2, n, n) stack."""
+    block.take(network._slots, out=stack, mode="clip")  # "raise" would buffer
 
 
 def build_network(
@@ -121,14 +125,15 @@ def build_network(
     if n < 2:
         raise ConfigurationError(f"need at least 2 nodes, got {n}")
     network = NetworkState(positions, config.min_coord_km)
-    values = np.zeros((2, network.link_count + 1))
-    values[0, 1:] = rng.beta(config.beta_a, config.beta_b, size=network.link_count)
+    m = network.link_count
+    block = np.zeros(1 + 2 * m)
+    block[1 : m + 1] = rng.beta(config.beta_a, config.beta_b, size=m)
     # math.hypot per pair, in draw order; np.hypot may differ in the last bit.
-    values[1, 1:] = [
+    block[m + 1 :] = [
         math.hypot(ax - bx, ay - by)
         for (ax, ay), (bx, by) in itertools.combinations(positions.tolist(), 2)
     ]
-    _set_links(network, network._defaults, values)
+    _set_links(network, network._defaults, block)
     return reset(network)
 
 
@@ -137,24 +142,34 @@ def perturb(
 ) -> NetworkState:
     """Redraw current link state around the defaults, in place.
 
-    Each value is Normal(default, sigma_frac * default); qualities clamp to
-    [0, 1] and distances to >= min_coord_km.  So sigma_frac = 0 reproduces
-    the defaults, except that a default distance below min_coord_km comes
-    back as min_coord_km.  Draw order is fixed (qualities, then distances,
-    each over the links in upper-triangle order) to keep runs reproducible.
-    Both layers are written at once.
+    Each value is default * (1 + sigma_frac * z) for a standard normal z,
+    so Normal(default, sigma_frac * default); qualities clamp to [0, 1] and
+    distances to >= min_coord_km.  So sigma_frac = 0 reproduces the
+    defaults, except that a default distance below min_coord_km comes back
+    as min_coord_km.  Draw order is fixed (qualities, then distances, each
+    over the links in upper-triangle order) to keep runs reproducible.  The
+    normals are drawn straight into one link block (see _link_layout),
+    scaled there in place and written to both layers in one pass.  The
+    defaults are gathered anew on every call, so writes into ``default_*``
+    made after the build are followed without a reset.
     """
     if sigma_frac < 0:
         raise ConfigurationError(f"sigma_frac must be >= 0, got {sigma_frac}")
-    z = rng.standard_normal((2, network.link_count))
-    values = network._defaults.reshape(2, -1).take(network._gather, axis=1)
-    jittered = values[:, 1:]  # column 0 is the diagonal's zero
-    jittered *= 1.0 + sigma_frac * z
-    q, d = jittered
+    m = network.link_count
+    block = np.zeros(1 + 2 * m)  # block[0] stays the diagonal's zero
+    jittered = block[1:]
+    # The same stream as standard_normal((2, m)): qualities, then distances.
+    rng.standard_normal(out=jittered)
+    # default * (1.0 + sigma_frac * z), one in-place IEEE step at a time.
+    jittered *= sigma_frac
+    jittered += 1.0
+    jittered *= network._defaults.take(network._gather)
+    q = block[1 : m + 1]
+    d = block[m + 1 :]
     # maximum/minimum clamp like np.clip, with less overhead on small arrays.
     np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)
     np.maximum(d, network.min_coord_km, out=d)
-    _set_links(network, network._current, values)
+    _set_links(network, network._current, block)
     return network
 
 
@@ -164,19 +179,25 @@ def reset(network: NetworkState) -> NetworkState:
     return network
 
 
+def _link_costs(network: NetworkState, kind: CostKind) -> np.ndarray:
+    """A fresh n x n matrix of current link costs of the given kind."""
+    if kind is CostKind.TRANSMISSION_TIME:
+        return network.current_distance / SPEED_OF_LIGHT_KM_S
+    if kind is CostKind.QUALITY_COMPLEMENT:
+        return 1.0 - network.current_quality
+    raise ValueError(f"unknown cost kind: {kind!r}")
+
+
 def edge_cost_matrix(network: NetworkState, kind: CostKind) -> np.ndarray:
     """n x n link costs of the given kind, with the direct link penalized.
 
     The probe-to-ground link costs the sum of every entry plus one, which
     strictly exceeds the cost of any simple relay path, so shortest-path
-    routing only falls back to it when no alternative exists.
+    routing only falls back to it when no alternative exists.  The search
+    kernels in routing price that link at inf instead, which decides the
+    same hops; this matrix shows the penalty.
     """
-    if kind is CostKind.TRANSMISSION_TIME:
-        costs = network.current_distance / SPEED_OF_LIGHT_KM_S
-    elif kind is CostKind.QUALITY_COMPLEMENT:
-        costs = 1.0 - network.current_quality
-    else:
-        raise ValueError(f"unknown cost kind: {kind!r}")
+    costs = _link_costs(network, kind)
     p, g = network.probe_id, network.ground_id
     costs[p, g] = costs[g, p] = costs.sum() + 1.0
     return costs

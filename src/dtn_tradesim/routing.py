@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import CostKind, NetworkState, edge_cost_matrix
+from .network import CostKind, NetworkState, _link_costs
 
 logger = logging.getLogger(__name__)
 
@@ -32,10 +32,10 @@ PROTOCOL_COST_KIND = {
 # _dijkstra_next_hop switches from _search to _layered_next_hop at this graph
 # size.  Timed per search on a 2-vCPU VM (seed 1, 40 perturbed states, every
 # source, both cost kinds, three passes), the layered search is slower up to
-# 14 relays (28-34 against 21-24 us at 10), ties at 16 and wins in every pass
-# from 18 relays (20 nodes) up (42-47 against 72-74 us at 26): numpy's
-# per-call overhead outweighs the list loop on small graphs.
-LAYERED_MIN_NODES = 20
+# 14 relays (26-28 against 17-19 us at 10), splits the passes at 15 and 16
+# and wins in every pass from 17 relays (19 nodes) up (38-40 against 68-72 us
+# at 26): numpy's per-call overhead outweighs the list loop on small graphs.
+LAYERED_MIN_NODES = 19
 
 
 def dijkstra_path(network: NetworkState, kind: CostKind, src: int, dst: int) -> Route:
@@ -60,6 +60,20 @@ def _dijkstra_next_hop(
     return search(network, kind, src, dst)
 
 
+def _search_costs(network: NetworkState, kind: CostKind) -> np.ndarray:
+    """A fresh n x n cost matrix for one search, the direct link priced at inf.
+
+    edge_cost_matrix's penalty for that link exceeds every path that avoids
+    it, and once relays exist such a path joins every pair of nodes, so the
+    penalty never decides a hop, prunes a path or ties with another.  inf
+    decides the same without a sum over the whole matrix.
+    """
+    costs = _link_costs(network, kind)
+    p, g = network.probe_id, network.ground_id
+    costs[p, g] = costs[g, p] = math.inf
+    return costs
+
+
 def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     """First hop from src toward dst by dense Dijkstra, stopped once dst settles.
 
@@ -68,10 +82,14 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     hop, so the first hop settles the lexicographic order.  Exact cost ties
     settle the fewer-hop node first; nodes equal in both cannot improve each
     other, as a path through one adds a hop.  Costs are non-negative, so a
-    settled label is final and each cost row is read once.
+    settled label is final and each cost row is read once.  The direct link's
+    cost is inf (_search_costs); on the two-node network it is the only
+    path, so dst is the hop.
     """
-    rows = edge_cost_matrix(network, kind).tolist()
     n = network.node_count
+    if n == 2:
+        return dst
+    rows = _search_costs(network, kind).tolist()
     cost = rows[src]  # one-hop labels, whose first hop is their end node
     cost[src] = math.inf  # settled nodes go to inf so min() skips them
     hops = [1] * n
@@ -111,9 +129,11 @@ def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int)
     paths, so argmin, which returns the first of equal minima, picks the
     smallest path among exact cost ties; a later path to dst wins only if
     strictly cheaper, because it has more hops.  This is _search's order:
-    cost, then hops, then the node sequence.
+    cost, then hops, then the node sequence.  The direct link's cost is inf
+    (_search_costs), so on the two-node network the frontier starts empty
+    and dst is the hop.
     """
-    costs = edge_cost_matrix(network, kind)
+    costs = _search_costs(network, kind)
     n = network.node_count
     costs.ravel()[:: n + 1] = math.inf
     best = costs[src].copy()  # one-hop paths; costs[src, src] is inf

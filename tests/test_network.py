@@ -231,18 +231,15 @@ def test_reset_restores_fresh_state():
     assert np.array_equal(network.current_quality, fresh_q)
 
 
-def test_perturb_draws_one_normal_block_whether_or_not_distance_is_read():
+def test_perturb_draws_one_normal_block():
     network = build_random_network(seed=8, relay_count=5)
-    for read in (False, True):
-        r, twin = rng(4), rng(4)
-        perturb(network, r, 0.3)
-        if read:
-            network.current_distance
-        twin.standard_normal((2, network.link_count))
-        assert r.bit_generator.state == twin.bit_generator.state
+    r, twin = rng(4), rng(4)
+    perturb(network, r, 0.3)
+    twin.standard_normal((2, network.link_count))
+    assert r.bit_generator.state == twin.bit_generator.state
 
 
-def test_unread_distance_follows_the_latest_perturbation():
+def test_second_perturb_overwrites_the_first():
     # Each perturb overwrites the whole current state, so two perturbs in a
     # row must leave exactly the second draw, computed link by link.
     network = build_random_network(seed=8, relay_count=5)
@@ -257,6 +254,45 @@ def test_unread_distance_follows_the_latest_perturbation():
     want = np.zeros_like(network.default_distance)
     want[rows, cols] = want[cols, rows] = d
     assert np.array_equal(network.current_distance, want)
+
+
+def test_perturb_follows_default_writes_and_keeps_networks_apart():
+    sigma = 0.3
+    network = build_random_network(seed=8, relay_count=5)
+    r, twin = rng(7), rng(7)
+    perturb(network, r, sigma)
+    twin.standard_normal((2, network.link_count))
+    # Written through the views after the build and a perturb, with no reset.
+    network.default_quality[2, 5] = network.default_quality[5, 2] = 0.125
+    network.default_distance[2, 5] = network.default_distance[5, 2] = 7.5e7
+    perturb(network, r, sigma)
+    zq, zd = twin.standard_normal((2, network.link_count)).tolist()
+    n = network.node_count
+    want_q, want_d = np.zeros((n, n)), np.zeros((n, n))
+    for k, (a, b) in enumerate(zip(*np.nonzero(network.links))):
+        q = network.default_quality[a, b] * (1.0 + sigma * zq[k])
+        d = network.default_distance[a, b] * (1.0 + sigma * zd[k])
+        want_q[a, b] = want_q[b, a] = min(max(q, 0.0), 1.0)
+        want_d[a, b] = want_d[b, a] = max(d, network.min_coord_km)
+    assert 0.0 < want_q[2, 5] < 1.0 and want_d[2, 5] > network.min_coord_km  # unclamped
+    assert np.array_equal(network.current_quality, want_q)
+    assert np.array_equal(network.current_distance, want_d)
+
+    # Two networks of one size, perturbed in turn, each end as if alone.
+    def pair():
+        return [build_random_network(seed=s, relay_count=5) for s in (11, 12)]
+
+    alternate, alone = pair(), pair()
+    streams, alone_streams = [rng(21), rng(22)], [rng(21), rng(22)]
+    for _ in range(3):
+        for net, r in zip(alternate, streams):
+            perturb(net, r, sigma)
+    for net, r in zip(alone, alone_streams):
+        for _ in range(3):
+            perturb(net, r, sigma)
+    for a, b in zip(alternate, alone):
+        assert np.array_equal(a.current_quality, b.current_quality)
+        assert np.array_equal(a.current_distance, b.current_distance)
 
 
 def test_build_network_validation():

@@ -244,6 +244,44 @@ def test_layered_search_keeps_fewer_hops_on_equal_cost():
         assert kernel(network, kind, 0, 1) == 2, kernel
 
 
+def test_search_never_takes_the_direct_link_when_relays_exist():
+    # The direct link is the cheapest link of both kinds, but the kernels
+    # price it at inf and edge_cost_matrix above every relay path, so all
+    # leave the probe through a relay, as the reference does.
+    network = build_custom_network(
+        [
+            (NodeKind.PROBE, 10.0 * C, 0.0),
+            (NodeKind.GROUND, 0.0, 0.0),
+            (NodeKind.RELAY, 2.0 * C, 7.0 * C),
+            (NodeKind.RELAY, 5.0 * C, -6.0 * C),
+            (NodeKind.RELAY, 8.0 * C, 5.0 * C),
+        ]
+    )
+    set_link(network, 0, 1, quality=1.0, distance=1.0 * C)
+    links = network.links
+    assert network.current_distance[0, 1] == network.current_distance[links].min()
+    assert network.current_quality[0, 1] == network.current_quality[links].max()
+    for protocol, kind in routing.PROTOCOL_COST_KIND.items():
+        want = reference_dijkstra_path(network, kind, 0, 1)
+        assert want[1] != 1
+        for kernel in KERNELS:
+            assert kernel(network, kind, 0, 1) == want[1], (kernel, kind)
+        assert next_hop(network, protocol, 0, 1) == want[1]
+        back = dijkstra_path(network, kind, 1, 0)
+        assert back == reference_dijkstra_path(network, kind, 1, 0)
+        assert back[1] != 0
+
+    two_node = build_custom_network(
+        [(NodeKind.PROBE, 100.0, 0.0), (NodeKind.GROUND, 0.0, 0.0)]
+    )
+    for protocol, kind in routing.PROTOCOL_COST_KIND.items():
+        for kernel in KERNELS:
+            assert kernel(two_node, kind, 0, 1) == 1, (kernel, kind)
+        assert next_hop(two_node, protocol, 0, 1) == 1
+        assert dijkstra_path(two_node, kind, 0, 1) == (0, 1)
+        assert dijkstra_path(two_node, kind, 1, 0) == (1, 0)
+
+
 def test_next_hop_switches_to_layered_search_on_large_graphs(monkeypatch):
     def no_search(*args):
         raise RuntimeError("_search called")
