@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 from collections.abc import Iterable
 from dataclasses import fields
 from itertools import chain, count, islice, repeat
@@ -24,7 +25,7 @@ import numpy as np
 from .config import StudyConfig, config_lines
 from .network import GROUND_ID, PROBE_ID, NodeKind
 from .routing import ProtocolKind, Route
-from .simulation import PacketState
+from .simulation import PROTOCOL_ORDER, PacketState
 from .stats import PROTOCOL_PAIRS
 from .study import StudyReport
 
@@ -38,9 +39,8 @@ _CHUNK_ROWS = 2000
 # Float repr text that JSON spells differently (NaN is written as null).
 _JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Cell types that csv.writer itself writes as _csv_cell would: it writes a
-# float by repr, and repr of a numpy float or str of a bool is not the cell.
-_CSV_OWN_TYPES = {float, int, str}
+# A str cell holding one of these is quoted by csv.writer.
+_CSV_QUOTED = re.compile('[,"\r\n]')
 
 
 def _csv_cell(value: object) -> object:
@@ -65,17 +65,44 @@ def _column_type(cells: tuple) -> type | None:
     return kinds.pop() if len(kinds) == 1 else None
 
 
-def _json_column(cells: tuple):
-    """One column's cells as JSON value text; a single map for a one-type column."""
+def _encode_column(cells: tuple, want_csv: bool, want_json: bool):
+    """(CSV text, JSON text) of one column's cells, each a list or None.
+
+    A float or int column is turned into text once and both formats share
+    it; an int or str column is encoded once per distinct value.  The CSV
+    text is None where csv.writer must write the cells: a column that is
+    mixed or of another type (bool, None, numpy float), or strings that csv
+    quotes.  The JSON text is None only when it is not wanted.
+    """
     kind = _column_type(cells)
+    csv_text = json_text = None
     if kind is float:
-        text = list(map(float.__repr__, cells))
-        return map(_JSON_FLOATS.get, text, text)
-    if kind is int:
-        return map(int.__repr__, cells)
-    if kind is str:
-        return map(encode_basestring_ascii, cells)
-    return map(_json_cell, cells)
+        csv_text = list(map(float.__repr__, cells))
+        if want_json:
+            json_text = list(map(_JSON_FLOATS.get, csv_text, csv_text))
+    elif kind is int:  # ids, mostly: few distinct values per chunk
+        text = {v: int.__repr__(v) for v in set(cells)}
+        csv_text = json_text = list(map(text.__getitem__, cells))
+    elif kind is str:
+        distinct = set(cells)
+        if want_csv and not _CSV_QUOTED.search("".join(distinct)):
+            csv_text = cells
+        if want_json:
+            text = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
+            json_text = list(map(text.__getitem__, cells))
+    elif want_json:
+        json_text = list(map(_json_cell, cells))
+    return csv_text, json_text
+
+
+def _lay_out(layout: list, texts: list) -> list[str]:
+    """layout once per row, its None slots filled in turn by each column's text."""
+    width = len(layout)
+    flat = layout * len(texts[0])
+    slots = [k for k, piece in enumerate(layout) if piece is None]
+    for slot, text in zip(slots, texts):
+        flat[slot::width] = text
+    return flat
 
 
 def route_text(route: Route) -> str:
@@ -90,52 +117,79 @@ def _write_table(
     The bytes are those of csv.writer over _csv_cell of each cell, and of
     json.dump(indent=2) over one object per row with NaN as null.  rows is
     consumed once, _CHUNK_ROWS at a time, so of a table built lazily only one
-    chunk is held.  A chunk whose cells all have one of _CSV_OWN_TYPES goes to
-    csv.writer as it is; JSON transposes each chunk and encodes it column by
-    column, so a column whose cells share one type is encoded by a single map.
+    chunk is held.  Each chunk is transposed and encoded column by column
+    (_encode_column), so a float or int cell is turned into text once for
+    both formats; each file's chunk is then its rows laid out between
+    constant separators and written with one join.  csv.writer writes a
+    chunk only where the CSV text is not that simple: a column that is mixed
+    or holds bools, None or numpy floats, a string that csv quotes, or an
+    empty string in a one-column table, which csv writes as "".
     """
+    want_csv, want_json = fmt in ("csv", "both"), fmt in ("json", "both")
     written = [f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
     with contextlib.ExitStack() as stack:
-        writer = json_fh = None
-        if fmt in ("csv", "both"):
+        if want_csv:
             path = os.path.join(out_dir, f"{name}.csv")
-            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-            writer = csv.writer(fh, lineterminator="\n")
+            csv_fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            writer = csv.writer(csv_fh, lineterminator="\n")
             writer.writerow(columns)
-        if fmt in ("json", "both"):
+            csv_layout = [None, ","] * (len(columns) - 1) + [None, "\n"]
+        if want_json:
             path = os.path.join(out_dir, f"{name}.json")
             json_fh = stack.enter_context(open(path, "w", encoding="utf-8"))
-            keys = (encode_basestring_ascii(c).replace("%", "%%") for c in columns)
-            row_text = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
-        separator = "[\n"
+            keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
+            # Each row begins with the separator from the row before it.
+            json_layout = [",\n  {\n" + keys[0]]
+            for key in keys[1:]:
+                json_layout += [None, ",\n" + key]
+            json_layout += [None, "\n  }"]
+        first = True
         rows = iter(rows)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
-            if writer:
-                if _CSV_OWN_TYPES.issuperset(map(type, chain.from_iterable(chunk))):
-                    writer.writerows(chunk)
+            csv_texts, json_texts = zip(
+                *(_encode_column(cells, want_csv, want_json) for cells in zip(*chunk))
+            )
+            if want_csv:
+                if None not in csv_texts and not (len(columns) == 1 and "" in csv_texts[0]):
+                    csv_fh.write("".join(_lay_out(csv_layout, csv_texts)))
                 else:
                     writer.writerows(map(_csv_cell, row) for row in chunk)
-            if json_fh:
-                json_fh.write(separator)
-                by_column = map(_json_column, zip(*chunk))  # back to rows in the join
-                json_fh.write(",\n".join(map(row_text.__mod__, zip(*by_column))))
-                separator = ",\n"
-            chunk = by_column = None  # drop this chunk before the next is cut
-        if json_fh:
-            json_fh.write("[]\n" if separator == "[\n" else "\n]\n")
+            if want_json:
+                flat = _lay_out(json_layout, json_texts)
+                if first:
+                    flat[0] = "[" + flat[0][1:]
+                json_fh.write("".join(flat))
+            first = False
+            chunk = csv_texts = json_texts = flat = None  # drop this chunk before the next is cut
+        if want_json:
+            json_fh.write("[]\n" if first else "\n]\n")
     return written
 
 
 def _packet_rows(report: StudyReport) -> Table:
+    """Every copy of every packet, built from each run's outcome columns.
+
+    Rows go packet by packet and, within a packet, in PROTOCOL_ORDER, as
+    RunResult.outcomes gives them.
+    """
     columns = ["run", "packet", "protocol", "state", "transmission_time_hr", "route"]
     text = functools.cache(route_text)  # each distinct route rendered once
+    names = [p.value for p in PROTOCOL_ORDER]
     states = (PacketState.INTACT.value, PacketState.DAMAGED.value)  # by damage flag
-    rows = (
-        (i, k, p.value, states[d], t, text(route))
-        for i, run in enumerate(report.runs)
-        for k, p, t, d, route in run.outcomes()
-    )
-    return columns, rows
+
+    def run_rows(i, run):
+        packets = run.times_hr.shape[1]
+        # Each column packet by packet, a packet's copies in PROTOCOL_ORDER.
+        return zip(
+            repeat(i),
+            np.arange(packets).repeat(len(names)).tolist(),
+            names * packets,
+            map(states.__getitem__, run.damaged.T.ravel().tolist()),
+            run.times_hr.T.ravel().tolist(),
+            map(text, chain.from_iterable(zip(*run.routes))),
+        )
+
+    return columns, chain.from_iterable(map(run_rows, count(), report.runs))
 
 
 def _run_rows(report: StudyReport) -> Table:
@@ -282,11 +336,13 @@ def write_report(report: StudyReport) -> list[str]:
     for name, build in tables:
         files += _write_table(out_dir, name, *build(report), config.format)
 
-    degenerate = [
-        f"{metric} {a.value}/{b.value}"
-        for metric, a, b, r in _ttest_cells(report)
-        if math.isnan(r.t)
-    ]
+    # NaN cells: both variances zero, or a sample that is not finite.
+    degenerate, not_finite = [], []
+    for metric, a, b, r in _ttest_cells(report):
+        if math.isnan(r.p):
+            cells = getattr(report.study_summary, metric)
+            flat = cells[a].std == cells[b].std == 0.0
+            (degenerate if flat else not_finite).append(f"{metric} {a.value}/{b.value}")
     # Only bare table file names, so nothing outside out_dir is touched.
     for name in set(old_files).difference(files):
         if name.endswith((".csv", ".json")) and os.path.basename(name) == name:
@@ -302,6 +358,9 @@ def write_report(report: StudyReport) -> list[str]:
         if degenerate:
             fh.write("ttests=NaN where both variances are zero: ")
             fh.write(", ".join(degenerate) + "\n")
+        if not_finite:
+            fh.write("ttests=NaN where a sample's mean or std is not finite: ")
+            fh.write(", ".join(not_finite) + "\n")
         fh.write("[config]\n")
         for line in config_lines(config):
             fh.write(line + "\n")

@@ -23,6 +23,10 @@ _TINY = 1e-300
 # One-tailed p below this marks a Welch test significant.
 SIGNIFICANCE_LEVEL = 0.05
 
+# Standard deviations whose fourth power stays well inside the float range;
+# welch_t rescales larger or smaller ones (see there).
+_PLAIN_STD = (1e-50, 1e50)
+
 logger = logging.getLogger(__name__)
 
 
@@ -115,7 +119,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def student_t_upper_tail(t: float, df: float) -> float:
     """P(T > t) for T ~ Student's t with df degrees of freedom."""
-    if df <= 0:
+    if not df > 0:  # NaN too
         raise ValueError(f"degrees of freedom must be > 0, got {df}")
     if t == 0.0:
         return 0.5
@@ -138,15 +142,25 @@ def welch_t(s1: SummaryStats, s2: SummaryStats) -> TTestResult:
     t = (m1 - m2) / sqrt(s1^2/n1 + s2^2/n2); degrees of freedom follow
     Welch-Satterthwaite; p is the one-tailed probability beyond |t|, so the
     test reads in the direction of the observed difference.
+
+    t and df do not change when both samples are scaled alike, so when the
+    larger std lies outside _PLAIN_STD, both are divided by it first and the
+    squares stay finite; inside it the scale is 1.0, which divides exactly.
+    A sample with a non-finite mean or std (its values overflowed) has no
+    test: t, df and p are NaN and it is not significant.
     """
     if s1.n < 2 or s2.n < 2:
         raise ValueError("both samples need n >= 2")
-    v1 = s1.std**2 / s1.n
-    v2 = s2.std**2 / s2.n
+    if not all(map(math.isfinite, (s1.mean, s1.std, s2.mean, s2.std))):
+        return TTestResult(math.nan, math.nan, math.nan, False)
+    larger = max(s1.std, s2.std)
+    scale = 1.0 if larger == 0.0 or _PLAIN_STD[0] <= larger <= _PLAIN_STD[1] else larger
+    v1 = (s1.std / scale) ** 2 / s1.n
+    v2 = (s2.std / scale) ** 2 / s2.n
     pooled = v1 + v2
     if pooled == 0.0:
         raise ValueError("degenerate test: both sample variances are zero")
-    t = (s1.mean - s2.mean) / math.sqrt(pooled)
+    t = (s1.mean - s2.mean) / scale / math.sqrt(pooled)
     df = pooled**2 / (v1**2 / (s1.n - 1) + v2**2 / (s2.n - 1))
     p = student_t_upper_tail(abs(t), df)
     return TTestResult(t=t, df=df, p=p, significant=p < SIGNIFICANCE_LEVEL)

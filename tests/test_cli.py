@@ -1,6 +1,8 @@
 """Command-line behavior: subcommands, overrides, exit codes."""
 
+import csv
 import itertools
+import math
 import os
 import random
 
@@ -88,6 +90,19 @@ def test_run_too_large_for_memory_is_simulation_exit(tmp_path, capsys):
     assert code == EXIT_SIMULATION
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
+def test_run_end_to_end_km_past_welch_squares_writes_bundle(tmp_path):
+    # Times near 1e81 hr: their variances squared would overflow a float.
+    out_dir = tmp_path / "far"
+    flags = "--end-to-end-km 1e90 --runs 3 --packets 5 --relays 4"
+    assert main(["run", *flags.split(), "--out", str(out_dir)]) == EXIT_OK
+    with open(out_dir / "ttest_matrix.csv", encoding="utf-8") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["metric"] == "transmission_time"]
+    assert len(rows) == 3
+    for row in rows:
+        assert all(math.isfinite(float(row[key])) for key in ("t", "df", "p"))
+        assert 0.0 < float(row["p"]) <= 0.5
 
 
 def test_run_json_format(tmp_path):

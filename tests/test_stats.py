@@ -154,7 +154,9 @@ def test_welch_scale_invariance():
     s1 = SummaryStats(3.2, 0.7, 6)
     s2 = SummaryStats(2.1, 0.4, 9)
     base = welch_t(s1, s2)
-    for c in (0.001, 42.0, 1e6):
+    # Past 1e50 and below 1e-50 the stds' fourth powers would leave the
+    # float range, so welch_t rescales them first.
+    for c in (0.001, 42.0, 1e6, 1e-170, 1e-80, 1e80, 1e150):
         scaled = welch_t(
             SummaryStats(s1.mean * c, s1.std * c, s1.n),
             SummaryStats(s2.mean * c, s2.std * c, s2.n),
@@ -162,6 +164,20 @@ def test_welch_scale_invariance():
         assert scaled.t == pytest.approx(base.t, rel=1e-9)
         assert scaled.df == pytest.approx(base.df, rel=1e-9)
         assert scaled.p == pytest.approx(base.p, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "s1", [SummaryStats(1e300, math.inf, 3), SummaryStats(math.inf, math.nan, 3)]
+)
+def test_welch_without_finite_sample_is_nan(s1):
+    r = welch_t(s1, SummaryStats(2.0, 0.5, 3))
+    assert math.isnan(r.t) and math.isnan(r.df) and math.isnan(r.p)
+    assert not r.significant
+
+
+def test_student_t_tail_rejects_nan_df():
+    with pytest.raises(ValueError, match="degrees of freedom"):
+        student_t_upper_tail(1.0, math.nan)
 
 
 def test_significance_matrix_zero_variance_cells_are_nan(caplog):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from dtn_tradesim.config import StudyConfig
 from dtn_tradesim.report import _CHUNK_ROWS, _column_type, _write_table, write_report
 from dtn_tradesim.routing import ProtocolKind
+from dtn_tradesim.stats import SummaryStats, significance_matrix
 from dtn_tradesim.study import run_seed, run_study
 
 from helpers import reference_link_rows, reference_node_rows, reference_write_table
@@ -171,6 +173,26 @@ def test_zero_variance_ttests_written_as_nan(tmp_path):
     assert f"\nttests=NaN where both variances are zero: {named}\n" in manifest
 
 
+def test_non_finite_sample_ttests_named_apart_from_zero_variance(tmp_path):
+    # Times so large that their variance overflows: the Welch tests of that
+    # metric have no number, and the manifest says why.
+    cfg = small_config(beta_a=50.0, beta_b=0.01, out_dir=str(tmp_path / "inf"))
+    report = run_study(cfg)
+    times = dict(report.study_summary.transmission_time)
+    times[ProtocolKind.BUNDLE] = SummaryStats(1e300, math.inf, cfg.run_count)
+    report.study_summary = replace(report.study_summary, transmission_time=times)
+    report.ttests = significance_matrix(report.study_summary)
+    write_report(report)
+    rows = read_csv(os.path.join(cfg.out_dir, "ttest_matrix.csv"))
+    nan_time = [row[1:3] for row in rows if row[0] == "transmission_time" and row[3] == "nan"]
+    assert nan_time == [["bundle", "distance_dijkstra"], ["bundle", "quality_dijkstra"]]
+    with open(os.path.join(cfg.out_dir, "manifest.txt"), encoding="utf-8") as fh:
+        manifest = fh.read()
+    named = "transmission_time bundle/distance_dijkstra, transmission_time bundle/quality_dijkstra"
+    assert f"\nttests=NaN where a sample's mean or std is not finite: {named}\n" in manifest
+    assert "ttests=NaN where both variances are zero: percent_error" in manifest
+
+
 def test_manifest_lists_written_files(tmp_path):
     cfg = small_config(out_dir=str(tmp_path / "manifest"))
     files = write_report(run_study(cfg))
@@ -287,6 +309,13 @@ def adversarial_tables():
     for count in (_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1):
         rows = [(k, k * 0.1 if k % 7 else math.nan, f"0-{k % 5}-1") for k in range(count)]
         tables[f"rows_{count}"] = (["k", "value", "route"], rows)
+    # Only the middle chunk holds a string that csv quotes, so only it may
+    # go to csv.writer; the chunks on either side take the joined text.
+    rows = [
+        (k, "a,b" if k == _CHUNK_ROWS + 7 else f"0-{k % 5}-1")
+        for k in range(2 * _CHUNK_ROWS + 1)
+    ]
+    tables["comma_in_middle_chunk"] = (["k", "route"], rows)
     return tables
 
 
@@ -321,12 +350,13 @@ def test_write_table_matches_stdlib_reference(tmp_path, monkeypatch, name):
     # Each chunk is encoded as soon as its last row is pulled, and no sooner.
     ends = {min(start + _CHUNK_ROWS, len(rows)) for start in range(0, len(rows), _CHUNK_ROWS)}
     assert encoded_at == ends
-    # CSV alone skips the JSON side's transposition.
-    only_csv = tmp_path / "csv"
-    only_csv.mkdir()
-    csv_file = f"{name}.csv"
-    assert _write_table(str(only_csv), name, columns, iter(rows), "csv") == [csv_file]
-    assert (only_csv / csv_file).read_bytes() == (reference / csv_file).read_bytes()
+    # Each format alone encodes only the text it writes, to the same bytes.
+    for ext in ("csv", "json"):
+        alone = tmp_path / f"{ext}_alone"
+        alone.mkdir()
+        file = f"{name}.{ext}"
+        assert _write_table(str(alone), name, columns, iter(rows), ext) == [file]
+        assert (alone / file).read_bytes() == (reference / file).read_bytes(), file
 
 
 def test_csv_writes_numpy_floats_as_plain_floats(tmp_path):
