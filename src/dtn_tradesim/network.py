@@ -1,4 +1,4 @@
-"""Relay-network model: node placement, link state, perturbation, edge costs.
+"""Relay-network model: node placement, link state, perturbation, link costs.
 
 The network is a complete graph over one deep-space probe, one ground
 station, and a configurable number of relay satellites.  Every link keeps
@@ -137,6 +137,19 @@ def build_network(
     return reset(network)
 
 
+@functools.lru_cache(maxsize=8)
+def _clamp_bounds(link_count: int, min_coord_km: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (floor, ceiling) of a link block after its zero.
+
+    Qualities lie in [0, 1] and distances in [min_coord_km, inf]: each bound
+    holds every link's quality bound, then every link's distance bound, in
+    the block's order.  A ceiling of inf leaves every distance as it is.
+    """
+    bounds = np.repeat(((0.0, min_coord_km), (1.0, math.inf)), link_count, axis=1)
+    bounds.setflags(write=False)
+    return bounds[0], bounds[1]
+
+
 def perturb(
     network: NetworkState, rng: np.random.Generator, sigma_frac: float
 ) -> NetworkState:
@@ -149,14 +162,18 @@ def perturb(
     as min_coord_km.  Draw order is fixed (qualities, then distances, each
     over the links in upper-triangle order) to keep runs reproducible.  The
     normals are drawn straight into one link block (see _link_layout),
-    scaled there in place and written to both layers in one pass.  The
-    defaults are gathered anew on every call, so writes into ``default_*``
-    made after the build are followed without a reset.
+    scaled there in place, clamped by one maximum and one minimum over the
+    whole block against read-only bounds (see _clamp_bounds; min_coord_km
+    is read from the network on every call), and written to both layers in
+    one pass.  The defaults are gathered anew on every call, so writes into
+    ``default_*`` made after the build are followed without a reset; the
+    block lives only for the call.
     """
     if sigma_frac < 0:
         raise ConfigurationError(f"sigma_frac must be >= 0, got {sigma_frac}")
     m = network.link_count
-    block = np.zeros(1 + 2 * m)  # block[0] stays the diagonal's zero
+    block = np.empty(1 + 2 * m)
+    block[0] = 0.0  # the diagonal's zero
     jittered = block[1:]
     # The same stream as standard_normal((2, m)): qualities, then distances.
     rng.standard_normal(out=jittered)
@@ -164,11 +181,10 @@ def perturb(
     jittered *= sigma_frac
     jittered += 1.0
     jittered *= network._defaults.take(network._gather)
-    q = block[1 : m + 1]
-    d = block[m + 1 :]
     # maximum/minimum clamp like np.clip, with less overhead on small arrays.
-    np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)
-    np.maximum(d, network.min_coord_km, out=d)
+    floor, ceiling = _clamp_bounds(m, network.min_coord_km)
+    np.maximum(jittered, floor, out=jittered)
+    np.minimum(jittered, ceiling, out=jittered)
     _set_links(network, network._current, block)
     return network
 
@@ -186,18 +202,3 @@ def _link_costs(network: NetworkState, kind: CostKind) -> np.ndarray:
     if kind is CostKind.QUALITY_COMPLEMENT:
         return 1.0 - network.current_quality
     raise ValueError(f"unknown cost kind: {kind!r}")
-
-
-def edge_cost_matrix(network: NetworkState, kind: CostKind) -> np.ndarray:
-    """n x n link costs of the given kind, with the direct link penalized.
-
-    The probe-to-ground link costs the sum of every entry plus one, which
-    strictly exceeds the cost of any simple relay path, so shortest-path
-    routing only falls back to it when no alternative exists.  The search
-    kernels in routing price that link at inf instead, which decides the
-    same hops; this matrix shows the penalty.
-    """
-    costs = _link_costs(network, kind)
-    p, g = network.probe_id, network.ground_id
-    costs[p, g] = costs[g, p] = costs.sum() + 1.0
-    return costs

@@ -29,9 +29,9 @@ PROTOCOL_COST_KIND = {
     ProtocolKind.QUALITY_DIJKSTRA: CostKind.QUALITY_COMPLEMENT,
 }
 
-# _dijkstra_next_hop switches from _search to _layered_next_hop at this graph
-# size.  Timed per search on a 2-vCPU VM (seed 1, 40 perturbed states, every
-# source, both cost kinds, three passes), the layered search is slower up to
+# _kernel switches from _search to _layered_next_hop at this graph size.
+# Timed per search on a 2-vCPU VM (seed 1, 40 perturbed states, every source,
+# both cost kinds, three passes), the layered search is slower up to
 # 14 relays (26-28 against 17-19 us at 10), splits the passes at 15 and 16
 # and wins in every pass from 17 relays (19 nodes) up (38-40 against 68-72 us
 # at 26): numpy's per-call overhead outweighs the list loop on small graphs.
@@ -47,26 +47,25 @@ def dijkstra_path(network: NetworkState, kind: CostKind, src: int, dst: int) -> 
     even when whole neighborhoods tie at zero cost.
     """
     _check_endpoints(network, src, dst)
+    search = _kernel(network.node_count)
     route = [src]
     while route[-1] != dst:
-        route.append(_dijkstra_next_hop(network, kind, route[-1], dst))
+        route.append(search(network, kind, route[-1], dst))
     return tuple(route)
 
 
-def _dijkstra_next_hop(
-    network: NetworkState, kind: CostKind, src: int, dst: int
-) -> int:
-    search = _layered_next_hop if network.node_count >= LAYERED_MIN_NODES else _search
-    return search(network, kind, src, dst)
+def _kernel(node_count: int):
+    """The first-hop search for a graph of this size (see LAYERED_MIN_NODES)."""
+    return _layered_next_hop if node_count >= LAYERED_MIN_NODES else _search
 
 
 def _search_costs(network: NetworkState, kind: CostKind) -> np.ndarray:
     """A fresh n x n cost matrix for one search, the direct link priced at inf.
 
-    edge_cost_matrix's penalty for that link exceeds every path that avoids
-    it, and once relays exist such a path joins every pair of nodes, so the
-    penalty never decides a hop, prunes a path or ties with another.  inf
-    decides the same without a sum over the whole matrix.
+    A penalty for that link above the sum of every cost exceeds every path
+    that avoids it, and once relays exist such a path joins every pair of
+    nodes, so the penalty never decides a hop, prunes a path or ties with
+    another.  inf decides the same without a sum over the whole matrix.
     """
     costs = _link_costs(network, kind)
     p, g = network.probe_id, network.ground_id
@@ -82,22 +81,27 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     hop, so the first hop settles the lexicographic order.  Exact cost ties
     settle the fewer-hop node first; nodes equal in both cannot improve each
     other, as a path through one adds a hop.  Costs are non-negative, so a
-    settled label is final and each cost row is read once.  The direct link's
-    cost is inf (_search_costs); on the two-node network it is the only
-    path, so dst is the hop.
+    settled label is final and each cost row is read once.  The cost rows
+    are Python lists built from the current state in one conversion, with
+    the direct link set to inf in them (see _search_costs); on the two-node
+    network it is the only path, so dst is the hop.  When every unsettled
+    node costs inf (perturbed distances that overflowed), no finite path
+    reaches dst and dst is the hop, as in _layered_next_hop.
     """
     n = network.node_count
     if n == 2:
         return dst
-    rows = _search_costs(network, kind).tolist()
+    inf = math.inf
+    rows = _link_costs(network, kind).tolist()
+    p, g = network.probe_id, network.ground_id
+    rows[p][g] = rows[g][p] = inf
     cost = rows[src]  # one-hop labels, whose first hop is their end node
-    cost[src] = math.inf  # settled nodes go to inf so min() skips them
+    cost[src] = inf  # settled nodes go to inf so min() skips them
     hops = [1] * n
     first = list(range(n))
     remaining = list(range(n))
     remaining.remove(src)
-    while True:
-        best = min(cost)
+    while (best := min(cost)) < inf:
         u = cost.index(best)
         if cost.count(best) > 1:
             for v in remaining:
@@ -106,16 +110,17 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
         if u == dst:
             return first[u]
         remaining.remove(u)
-        cost[u] = math.inf
+        cost[u] = inf
         hu = hops[u] + 1
         fu = first[u]
         row = rows[u]
         for v in remaining:
             c = best + row[v]
-            if c < cost[v] or (c == cost[v] and (hu, fu) < (hops[v], first[v])):
+            if c <= cost[v] and (c < cost[v] or (hu, fu) < (hops[v], first[v])):
                 cost[v] = c
                 hops[v] = hu
                 first[v] = fu
+    return dst
 
 
 def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
@@ -203,11 +208,18 @@ def _bundle_next_hop(network: NetworkState, current: int, dst: int) -> int:
 def next_hop(
     network: NetworkState, protocol: ProtocolKind, current: int, dst: int
 ) -> int:
-    """Single forwarding decision for one protocol under the current state."""
-    _check_endpoints(network, current, dst)
+    """Single forwarding decision for one protocol under the current state.
+
+    Node ids outside 0..n-1, or current == dst, raise ValueError.  A Dijkstra
+    protocol's hop comes from the kernel that dijkstra_path uses at this
+    graph size (see LAYERED_MIN_NODES).
+    """
+    n = network.node_count
+    if not (0 <= current < n and 0 <= dst < n) or current == dst:
+        _check_endpoints(network, current, dst)  # raises with the message
     if protocol is ProtocolKind.BUNDLE:
         return _bundle_next_hop(network, current, dst)
-    return _dijkstra_next_hop(network, PROTOCOL_COST_KIND[protocol], current, dst)
+    return _kernel(n)(network, PROTOCOL_COST_KIND[protocol], current, dst)
 
 
 def most_frequent_path(routes: Iterable[Sequence[int]]) -> Route:

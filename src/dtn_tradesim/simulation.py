@@ -141,9 +141,9 @@ def simulate_packet(
     time_s = [0.0] * len(PROTOCOL_ORDER)
     damaged = [False] * len(PROTOCOL_ORDER)
 
-    in_flight = range(len(PROTOCOL_ORDER))
+    in_flight = list(range(len(PROTOCOL_ORDER)))
     steps = 0
-    while in_flight := [i for i in in_flight if routes[i][-1] != dst]:
+    while in_flight:
         if steps >= step_budget:
             raise SimulationFault(
                 f"packet {packet_index}: step budget {step_budget} exceeded "
@@ -156,21 +156,22 @@ def simulate_packet(
         perturb(network, rng, sigma_frac)
         for i in in_flight:
             route = routes[i]
-            nh = next_hop(network, PROTOCOL_ORDER[i], route[-1], dst)
-            hop = (route[-1], nh)
-            time_s[i] += float(network.default_distance[hop]) / SPEED_OF_LIGHT_KM_S
-            if not hop_outcome(rng, float(network.current_quality[hop])):
+            u = route[-1]
+            v = next_hop(network, PROTOCOL_ORDER[i], u, dst)
+            time_s[i] += network.default_distance.item(u, v) / SPEED_OF_LIGHT_KM_S
+            if not hop_outcome(rng, network.current_quality.item(u, v)):
                 damaged[i] = True
-            route.append(nh)
+            route.append(v)
+        in_flight = [i for i in in_flight if routes[i][-1] != dst]
         steps += 1
 
     return [
         PacketRecord(
-            packet_index=packet_index,
-            protocol=p,
-            route=tuple(route),
-            transmission_time_hr=t / SECONDS_PER_HOUR,
-            state=PacketState.DAMAGED if d else PacketState.INTACT,
+            packet_index,
+            p,
+            tuple(route),
+            t / SECONDS_PER_HOUR,
+            PacketState.DAMAGED if d else PacketState.INTACT,
         )
         for p, route, t, d in zip(PROTOCOL_ORDER, routes, time_s, damaged)
     ]
@@ -204,12 +205,18 @@ def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
 
     config is a StudyConfig, checked when it was built; every packet starts
     from the network's defaults, and the returned network is left at them.
+    The (protocol, packet) result columns are allocated before the first
+    packet, so a run too large for memory fails at once; each protocol's
+    values are gathered in lists and written into them once, after the last
+    packet.
     """
     network = build_network(place_nodes(config, rng), rng, config)
     budget = config.step_budget_factor * network.node_count
     shape = (len(PROTOCOL_ORDER), config.packet_count)
     times_hr = np.empty(shape, dtype=np.float64)
     damaged = np.empty(shape, dtype=bool)
+    times: list[list[float]] = [[] for _ in PROTOCOL_ORDER]
+    flags: list[list[bool]] = [[] for _ in PROTOCOL_ORDER]
     routes: list[list[Route]] = [[] for _ in PROTOCOL_ORDER]
     interned: dict[Route, Route] = {}
     for k in range(config.packet_count):
@@ -217,10 +224,12 @@ def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
             network, rng, config.sigma_frac, packet_index=k, step_budget=budget
         )
         reset(network)
-        for j, r in enumerate(copies):
-            times_hr[j, k] = r.transmission_time_hr
-            damaged[j, k] = r.state is PacketState.DAMAGED
-            routes[j].append(interned.setdefault(r.route, r.route))
+        for copy, t, d, r in zip(copies, times, flags, routes):
+            t.append(copy.transmission_time_hr)
+            d.append(copy.state is PacketState.DAMAGED)
+            r.append(interned.setdefault(copy.route, copy.route))
+    times_hr[:] = times
+    damaged[:] = flags
     summaries = {
         p: summarize_protocol_records(p, times_hr[j], damaged[j])
         for j, p in enumerate(PROTOCOL_ORDER)

@@ -18,8 +18,8 @@ from dtn_tradesim.network import (
     CostKind,
     NetworkState,
     NodeKind,
+    _link_costs,
     build_network,
-    edge_cost_matrix,
     place_nodes,
     reset,
 )
@@ -65,6 +65,21 @@ def set_link(
     if distance is not None:
         network.default_distance[a, b] = network.default_distance[b, a] = distance
     reset(network)
+
+
+def edge_cost_matrix(network: NetworkState, kind: CostKind) -> np.ndarray:
+    """n x n link costs of the given kind, with the direct link penalized.
+
+    The probe-to-ground link costs the sum of every entry plus one, which
+    strictly exceeds the cost of any simple relay path, so shortest-path
+    routing only falls back to it when no alternative exists.  The search
+    kernels in routing price that link at inf instead, which decides the
+    same hops; the oracles below search this matrix.
+    """
+    costs = _link_costs(network, kind)
+    p, g = network.probe_id, network.ground_id
+    costs[p, g] = costs[g, p] = costs.sum() + 1.0
+    return costs
 
 
 def brute_force_min_cost(

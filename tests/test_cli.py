@@ -105,6 +105,16 @@ def test_run_end_to_end_km_past_welch_squares_writes_bundle(tmp_path):
         assert 0.0 < float(row["p"]) <= 0.5
 
 
+def test_run_sigma_frac_past_distance_overflow_writes_bundle(tmp_path):
+    # Perturbed distances overflow to inf, so some searches find no finite
+    # path and take the direct hop.  perturb's overflow warning still shows.
+    out_dir = tmp_path / "overflow"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["run", "--sigma-frac", "1.7e308", "--relays", "4", "--out", str(out_dir)])
+    assert code == EXIT_OK
+    assert (out_dir / "manifest.txt").is_file()
+
+
 def test_run_json_format(tmp_path):
     out_dir = str(tmp_path / "report")
     code = main(

@@ -14,13 +14,12 @@ from dtn_tradesim.network import (
     SPEED_OF_LIGHT_KM_S,
     CostKind,
     build_network,
-    edge_cost_matrix,
     perturb,
     place_nodes,
     reset,
 )
 
-from helpers import brute_force_min_cost, build_random_network, rng, set_link
+from helpers import build_random_network, edge_cost_matrix, rng, set_link
 
 
 def test_place_nodes_endpoints_fixed():
@@ -126,34 +125,6 @@ def test_edge_cost_transmission_time_is_distance_over_c():
     set_link(network, 2, 4, distance=SPEED_OF_LIGHT_KM_S)
     costs = edge_cost_matrix(network, CostKind.TRANSMISSION_TIME)
     assert costs[2, 4] == costs[4, 2] == pytest.approx(1.0)
-
-
-def test_direct_link_penalty_value():
-    network = build_random_network(seed=6, relay_count=4)
-    base = {
-        CostKind.TRANSMISSION_TIME: network.current_distance / SPEED_OF_LIGHT_KM_S,
-        CostKind.QUALITY_COMPLEMENT: 1.0 - network.current_quality,
-    }
-    p, g = network.probe_id, network.ground_id
-    for kind in CostKind:
-        costs = edge_cost_matrix(network, kind)
-        assert costs[p, g] == costs[g, p] == pytest.approx(base[kind].sum() + 1.0)
-        costs[p, g] = costs[g, p] = base[kind][p, g]
-        assert np.array_equal(costs, base[kind])
-
-
-def test_direct_link_penalty_dominates_every_relay_path():
-    # The penalized direct cost must exceed any simple path that avoids it.
-    for seed in range(10):
-        for relay_count in (2, 3, 4, 5):
-            network = build_random_network(seed=100 + seed, relay_count=relay_count)
-            for kind in CostKind:
-                costs = edge_cost_matrix(network, kind)
-                direct = float(costs[network.probe_id, network.ground_id])
-                best_alternative = brute_force_min_cost(
-                    network, kind, network.probe_id, network.ground_id
-                )
-                assert best_alternative < direct
 
 
 def test_perturb_sigma_zero_is_identity():

@@ -26,6 +26,7 @@ from helpers import (
     build_custom_network,
     build_random_network,
     distance_to,
+    edge_cost_matrix,
     path_cost,
     reference_dijkstra_path,
     rng,
@@ -244,6 +245,37 @@ def test_layered_search_keeps_fewer_hops_on_equal_cost():
         assert kernel(network, kind, 0, 1) == 2, kernel
 
 
+# The oracles in helpers search edge_cost_matrix, which prices the direct
+# link above every relay path; the kernels price it at inf.  The two agree
+# only while the penalty can never win or tie.
+def test_direct_link_penalty_value():
+    network = build_random_network(seed=6, relay_count=4)
+    base = {
+        CostKind.TRANSMISSION_TIME: network.current_distance / C,
+        CostKind.QUALITY_COMPLEMENT: 1.0 - network.current_quality,
+    }
+    p, g = network.probe_id, network.ground_id
+    for kind in CostKind:
+        costs = edge_cost_matrix(network, kind)
+        assert costs[p, g] == costs[g, p] == pytest.approx(base[kind].sum() + 1.0)
+        costs[p, g] = costs[g, p] = base[kind][p, g]
+        assert np.array_equal(costs, base[kind])
+
+
+def test_direct_link_penalty_dominates_every_relay_path():
+    # The penalized direct cost must exceed any simple path that avoids it.
+    for seed in range(10):
+        for relay_count in (2, 3, 4, 5):
+            network = build_random_network(seed=100 + seed, relay_count=relay_count)
+            for kind in CostKind:
+                costs = edge_cost_matrix(network, kind)
+                direct = float(costs[network.probe_id, network.ground_id])
+                best_alternative = brute_force_min_cost(
+                    network, kind, network.probe_id, network.ground_id
+                )
+                assert best_alternative < direct
+
+
 def test_search_never_takes_the_direct_link_when_relays_exist():
     # The direct link is the cheapest link of both kinds, but the kernels
     # price it at inf and edge_cost_matrix above every relay path, so all
@@ -280,6 +312,30 @@ def test_search_never_takes_the_direct_link_when_relays_exist():
         assert next_hop(two_node, protocol, 0, 1) == 1
         assert dijkstra_path(two_node, kind, 0, 1) == (0, 1)
         assert dijkstra_path(two_node, kind, 1, 0) == (1, 0)
+
+
+@pytest.mark.parametrize("relay_count", [1, 2, 4, 10, 16])
+def test_kernels_agree_on_overflowed_distances(relay_count):
+    # A sigma_frac near the float maximum overflows perturbed distances to
+    # inf.  Here links are set to inf by hand, without perturb: where every
+    # unsettled node costs inf, no finite path reaches dst and both kernels
+    # return dst; with every link inf that holds from the first label.
+    kind = CostKind.TRANSMISSION_TIME
+    for seed, share in enumerate((0.3, 0.7, 1.0)):
+        network = build_random_network(seed=900 + seed, relay_count=relay_count)
+        rows, cols = network.links.nonzero()
+        cut = rng(seed).random(network.link_count) < share
+        distance = network.current_distance
+        distance[rows[cut], cols[cut]] = distance[cols[cut], rows[cut]] = math.inf
+        dst = network.ground_id
+        for src in range(network.node_count):
+            if src == dst:
+                continue
+            hop = routing._search(network, kind, src, dst)
+            assert routing._layered_next_hop(network, kind, src, dst) == hop, (seed, src)
+            assert next_hop(network, ProtocolKind.DISTANCE_DIJKSTRA, src, dst) == hop
+            if share == 1.0:
+                assert hop == dst
 
 
 def test_next_hop_switches_to_layered_search_on_large_graphs(monkeypatch):
