@@ -39,6 +39,12 @@ class CostKind(Enum):
     QUALITY_COMPLEMENT = "quality_complement"
 
 
+# Hot paths test a cost kind by identity against these: reading a member off
+# its Enum class runs Python code on every call.
+_TIME_COST = CostKind.TRANSMISSION_TIME
+_QUALITY_COST = CostKind.QUALITY_COMPLEMENT
+
+
 def place_nodes(config, rng: np.random.Generator) -> np.ndarray:
     """Node positions in kilometers: an (n, 2) array of (x, y), row = node id.
 
@@ -88,7 +94,8 @@ class NetworkState:
     the current quality of the link between a and b.  The diagonal holds no
     link and stays zero.  The default and the current values are each one
     (2, n, n) stack, quality layer then distance layer, and the four link
-    attributes are views of those layers.
+    attributes are views of those layers.  perturb keeps its link block
+    (see _link_layout) on the network between calls; reset releases it.
     """
 
     probe_id = PROBE_ID
@@ -105,6 +112,7 @@ class NetworkState:
         self._current = np.zeros((2, n, n))
         self.default_quality, self.default_distance = self._defaults
         self.current_quality, self.current_distance = self._current
+        self._block = self._jittered = None
 
 
 def _set_links(network: NetworkState, stack: np.ndarray, block: np.ndarray) -> None:
@@ -159,46 +167,59 @@ def perturb(
     so Normal(default, sigma_frac * default); qualities clamp to [0, 1] and
     distances to >= min_coord_km.  So sigma_frac = 0 reproduces the
     defaults, except that a default distance below min_coord_km comes back
-    as min_coord_km.  Draw order is fixed (qualities, then distances, each
-    over the links in upper-triangle order) to keep runs reproducible.  The
-    normals are drawn straight into one link block (see _link_layout),
-    scaled there in place, clamped by one maximum and one minimum over the
-    whole block against read-only bounds (see _clamp_bounds; min_coord_km
-    is read from the network on every call), and written to both layers in
-    one pass.  The defaults are gathered anew on every call, so writes into
-    ``default_*`` made after the build are followed without a reset; the
-    block lives only for the call.
+    as min_coord_km.  When sigma_frac * z overflows (sigma_frac near the
+    float maximum), a value goes to +-inf and clamps, and a zero default,
+    whose product is then NaN, comes back at its floor as it would at any
+    finite z; numpy's warnings for both are left to the caller.  Draw order
+    is fixed (qualities, then distances, each over the links in
+    upper-triangle order) to keep runs reproducible.  The
+    normals are drawn straight into the network's link block (see
+    _link_layout), scaled there in place, clamped by one fmax and one
+    minimum over the whole block against read-only bounds (see
+    _clamp_bounds; min_coord_km is read from the network on every call), and
+    written to both layers in one pass, the diagonal included.  The block is
+    allocated, with its zero, on the first call after a build or a reset,
+    and kept on the network until the next reset.  The defaults are gathered
+    anew on every call, so writes into ``default_*`` made after the build
+    are followed without a reset.
     """
     if sigma_frac < 0:
         raise ConfigurationError(f"sigma_frac must be >= 0, got {sigma_frac}")
     m = network.link_count
-    block = np.empty(1 + 2 * m)
-    block[0] = 0.0  # the diagonal's zero
-    jittered = block[1:]
+    jittered = network._jittered
+    if jittered is None:
+        network._block = np.zeros(1 + 2 * m)  # [0] is the diagonal's zero
+        jittered = network._jittered = network._block[1:]
     # The same stream as standard_normal((2, m)): qualities, then distances.
     rng.standard_normal(out=jittered)
     # default * (1.0 + sigma_frac * z), one in-place IEEE step at a time.
     jittered *= sigma_frac
     jittered += 1.0
     jittered *= network._defaults.take(network._gather)
-    # maximum/minimum clamp like np.clip, with less overhead on small arrays.
+    # fmax/minimum clamp like np.clip, with less overhead on small arrays;
+    # fmax also sends NaN (a zero default times an overflowed inf) to the floor.
     floor, ceiling = _clamp_bounds(m, network.min_coord_km)
-    np.maximum(jittered, floor, out=jittered)
+    np.fmax(jittered, floor, out=jittered)
     np.minimum(jittered, ceiling, out=jittered)
-    _set_links(network, network._current, block)
+    _set_links(network, network._current, network._block)
     return network
 
 
 def reset(network: NetworkState) -> NetworkState:
-    """Restore current link state to the build-time defaults, in place."""
+    """Restore current link state to the build-time defaults, in place.
+
+    Also releases perturb's link block, so a reset network holds no scratch
+    state.
+    """
     np.copyto(network._current, network._defaults)
+    network._block = network._jittered = None
     return network
 
 
 def _link_costs(network: NetworkState, kind: CostKind) -> np.ndarray:
     """A fresh n x n matrix of current link costs of the given kind."""
-    if kind is CostKind.TRANSMISSION_TIME:
+    if kind is _TIME_COST:
         return network.current_distance / SPEED_OF_LIGHT_KM_S
-    if kind is CostKind.QUALITY_COMPLEMENT:
+    if kind is _QUALITY_COST:
         return 1.0 - network.current_quality
     raise ValueError(f"unknown cost kind: {kind!r}")

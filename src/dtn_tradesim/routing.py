@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import Counter
@@ -10,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .network import CostKind, NetworkState, _link_costs
+from .network import _QUALITY_COST, _TIME_COST, CostKind, NetworkState, _link_costs
 
 logger = logging.getLogger(__name__)
 
@@ -29,7 +30,15 @@ PROTOCOL_COST_KIND = {
     ProtocolKind.QUALITY_DIJKSTRA: CostKind.QUALITY_COMPLEMENT,
 }
 
-# _kernel switches from _search to _layered_next_hop at this graph size.
+# next_hop dispatches by identity on these (and network's cost kinds):
+# reading a member off its Enum class, or hashing one for a dict lookup,
+# runs Python code on every call.
+_BUNDLE = ProtocolKind.BUNDLE
+_DISTANCE = ProtocolKind.DISTANCE_DIJKSTRA
+_QUALITY = ProtocolKind.QUALITY_DIJKSTRA
+
+# dijkstra_path and next_hop switch from _search to _layered_next_hop at this
+# graph size.
 # Timed per search on a 2-vCPU VM (seed 1, 40 perturbed states, every source,
 # both cost kinds, three passes), the layered search is slower up to
 # 14 relays (26-28 against 17-19 us at 10), splits the passes at 15 and 16
@@ -47,16 +56,11 @@ def dijkstra_path(network: NetworkState, kind: CostKind, src: int, dst: int) -> 
     even when whole neighborhoods tie at zero cost.
     """
     _check_endpoints(network, src, dst)
-    search = _kernel(network.node_count)
+    search = _layered_next_hop if network.node_count >= LAYERED_MIN_NODES else _search
     route = [src]
     while route[-1] != dst:
         route.append(search(network, kind, route[-1], dst))
     return tuple(route)
-
-
-def _kernel(node_count: int):
-    """The first-hop search for a graph of this size (see LAYERED_MIN_NODES)."""
-    return _layered_next_hop if node_count >= LAYERED_MIN_NODES else _search
 
 
 def _search_costs(network: NetworkState, kind: CostKind) -> np.ndarray:
@@ -123,6 +127,14 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     return dst
 
 
+@functools.lru_cache(maxsize=8)
+def _node_ids(n: int) -> np.ndarray:
+    """Read-only arange(n), shared by every layered search on n nodes."""
+    ids = np.arange(n)
+    ids.setflags(write=False)
+    return ids
+
+
 def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     """The first hop _search returns, found by hop-indexed relaxation.
 
@@ -137,26 +149,32 @@ def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int)
     cost, then hops, then the node sequence.  The direct link's cost is inf
     (_search_costs), so on the two-node network the frontier starts empty
     and dst is the hop.
+
+    best holds each node's best cost capped at best[dst], so one comparison
+    applies both bounds.  The diagonal keeps its (non-negative) link cost: a
+    frontier node's path extended by its own diagonal costs no less than
+    that node's best, so the strict comparison never keeps it, and src's
+    own entry is set aside only while the first frontier is picked.
     """
     costs = _search_costs(network, kind)
-    n = network.node_count
-    costs.ravel()[:: n + 1] = math.inf
-    best = costs[src].copy()  # one-hop paths; costs[src, src] is inf
+    best = costs[src].copy()  # one-hop paths
+    best[src] = math.inf
     frontier = (best < best[dst]).nonzero()[0]
     best[src] = 0.0
+    np.minimum(best, best[dst], out=best)
     cost = best[frontier]
     first = frontier  # first hop of each frontier path
     hop = dst
-    columns = np.arange(n)
+    columns = _node_ids(network.node_count)
     while frontier.size:
         reach = costs.take(frontier, axis=0)
         reach += cost[:, None]
         via = reach.argmin(axis=0)  # frontier position of each node's best predecessor
         reach = reach[via, columns]
         if reach[dst] < best[dst]:
-            best[dst] = reach[dst]
             hop = first[via[dst]]
-        nodes = (reach < np.minimum(best, best[dst])).nonzero()[0]
+            np.minimum(best, reach[dst], out=best)
+        nodes = (reach < best).nonzero()[0]
         via = via[nodes]
         order = via.argsort(kind="stable")  # nodes ascend, so ties keep node order
         frontier = nodes[order]
@@ -210,16 +228,26 @@ def next_hop(
 ) -> int:
     """Single forwarding decision for one protocol under the current state.
 
-    Node ids outside 0..n-1, or current == dst, raise ValueError.  A Dijkstra
-    protocol's hop comes from the kernel that dijkstra_path uses at this
-    graph size (see LAYERED_MIN_NODES).
+    Node ids outside 0..n-1, or current == dst, raise ValueError, and so
+    does a protocol that is not a ProtocolKind.  A Dijkstra protocol's hop
+    comes from the kernel that dijkstra_path uses at this graph size (see
+    LAYERED_MIN_NODES), under its cost kind in PROTOCOL_COST_KIND; both are
+    picked by plain comparisons, without a call or a dict lookup.
     """
     n = network.node_count
     if not (0 <= current < n and 0 <= dst < n) or current == dst:
         _check_endpoints(network, current, dst)  # raises with the message
-    if protocol is ProtocolKind.BUNDLE:
+    if protocol is _BUNDLE:
         return _bundle_next_hop(network, current, dst)
-    return _kernel(n)(network, PROTOCOL_COST_KIND[protocol], current, dst)
+    if protocol is _DISTANCE:
+        kind = _TIME_COST
+    elif protocol is _QUALITY:
+        kind = _QUALITY_COST
+    else:
+        raise ValueError(f"unknown protocol: {protocol!r}")
+    if n >= LAYERED_MIN_NODES:
+        return _layered_next_hop(network, kind, current, dst)
+    return _search(network, kind, current, dst)
 
 
 def most_frequent_path(routes: Iterable[Sequence[int]]) -> Route:

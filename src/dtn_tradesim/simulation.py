@@ -9,6 +9,7 @@ A damaged copy keeps routing so its full route and timing stay observable.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,7 +26,6 @@ from .network import (
     reset,
 )
 from .routing import ProtocolKind, Route, next_hop
-from .stats import summarize_or_mean
 
 logger = logging.getLogger(__name__)
 
@@ -178,37 +178,60 @@ def simulate_packet(
 
 
 def cumulative_running_mean(samples) -> np.ndarray:
-    """Running mean after each successive sample; errors on empty input."""
+    """Running mean after each successive sample along the last axis.
+
+    Errors on empty input.  Each row of a 2-D input gets the bits it would
+    get alone, because a cumulative sum runs in order.
+    """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("samples must be non-empty")
-    return np.cumsum(arr) / np.arange(1, arr.size + 1)
+    return np.cumsum(arr, axis=-1) / np.arange(1, arr.shape[-1] + 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def summarize_protocol_records(
-    protocol: ProtocolKind, times_hr: np.ndarray, damaged: np.ndarray
-) -> RunSummary:
-    """Fold one protocol's time and damage columns into a RunSummary."""
-    s = summarize_or_mean(times_hr)
-    return RunSummary(
-        protocol=protocol,
-        percent_error=100.0 * int(np.count_nonzero(damaged)) / s.n,
-        time_mean_hr=s.mean,
-        time_std_hr=s.std,
-        time_sem_hr=s.sem,
-        crm_hr=cumulative_running_mean(times_hr),
-    )
+    times_hr: np.ndarray, damaged: np.ndarray
+) -> dict[ProtocolKind, RunSummary]:
+    """Fold a run's time and damage columns into one RunSummary per protocol.
+
+    The columns are (len(PROTOCOL_ORDER), packet_count) arrays, row j for
+    PROTOCOL_ORDER[j], as in RunResult.  Each statistic is one call along
+    the packet axis, which sums every row as the call on that row alone
+    would, so the values equal the per-row np.mean, np.std(ddof=1) and
+    cumulative_running_mean bit for bit.  With one packet the std and the
+    sem are NaN.
+    Times that overflowed give an inf or NaN statistic without a warning.
+    """
+    n = times_hr.shape[1]
+    means = np.mean(times_hr, axis=1).tolist()
+    if n > 1:
+        stds = np.std(times_hr, axis=1, ddof=1).tolist()
+    else:
+        stds = [math.nan] * len(times_hr)
+    crms = cumulative_running_mean(times_hr)
+    damaged_counts = np.count_nonzero(damaged, axis=1).tolist()
+    root_n = math.sqrt(n)
+    return {
+        p: RunSummary(p, 100.0 * c / n, mean, std, std / root_n, crm)
+        for p, c, mean, std, crm in zip(PROTOCOL_ORDER, damaged_counts, means, stds, crms)
+    }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
     """One run: build a fresh random network, then push packet_count packets.
 
-    config is a StudyConfig, checked when it was built; every packet starts
-    from the network's defaults, and the returned network is left at them.
-    The (protocol, packet) result columns are allocated before the first
-    packet, so a run too large for memory fails at once; each protocol's
-    values are gathered in lists and written into them once, after the last
-    packet.
+    config is a StudyConfig, checked when it was built.  Every packet starts
+    from the network's defaults: its first perturb rewrites the whole current
+    state from them before anything reads it, so the network is reset once,
+    after the last packet, and is returned at its defaults with no scratch
+    block left.  The (protocol, packet) result columns are allocated before
+    the first packet, so a run too large for memory fails at once; each
+    protocol's values are gathered in lists and written into them once,
+    after the last packet.  Values that overflow (a sigma_frac or an
+    end_to_end_km near the float maximum; see perturb) raise no numpy
+    warning.
     """
     network = build_network(place_nodes(config, rng), rng, config)
     budget = config.step_budget_factor * network.node_count
@@ -223,15 +246,12 @@ def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
         copies = simulate_packet(
             network, rng, config.sigma_frac, packet_index=k, step_budget=budget
         )
-        reset(network)
         for copy, t, d, r in zip(copies, times, flags, routes):
             t.append(copy.transmission_time_hr)
             d.append(copy.state is PacketState.DAMAGED)
             r.append(interned.setdefault(copy.route, copy.route))
+    reset(network)
     times_hr[:] = times
     damaged[:] = flags
-    summaries = {
-        p: summarize_protocol_records(p, times_hr[j], damaged[j])
-        for j, p in enumerate(PROTOCOL_ORDER)
-    }
+    summaries = summarize_protocol_records(times_hr, damaged)
     return RunResult(network, times_hr, damaged, routes, summaries)

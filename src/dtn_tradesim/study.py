@@ -48,6 +48,7 @@ class StudyReport:
 RUN_VALUE_OF_METRIC = {"percent_error": "percent_error", "transmission_time": "time_mean_hr"}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or NaN, unwarned
 def _study_summary(runs: list[RunResult]) -> StudySummary:
     return StudySummary(
         **{

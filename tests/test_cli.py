@@ -1,10 +1,12 @@
 """Command-line behavior: subcommands, overrides, exit codes."""
 
+import collections
 import csv
 import itertools
 import math
 import os
 import random
+import warnings
 
 import pytest
 
@@ -105,13 +107,38 @@ def test_run_end_to_end_km_past_welch_squares_writes_bundle(tmp_path):
         assert 0.0 < float(row["p"]) <= 0.5
 
 
+def run_without_warnings(flags: str, out_dir) -> int:
+    """main's exit code for a run; fails if the run raised any warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", *flags.split(), "--out", str(out_dir)])
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
 def test_run_sigma_frac_past_distance_overflow_writes_bundle(tmp_path):
     # Perturbed distances overflow to inf, so some searches find no finite
-    # path and take the direct hop.  perturb's overflow warning still shows.
+    # path and take the direct hop.  The overflow raises no warning.
     out_dir = tmp_path / "overflow"
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code = main(["run", "--sigma-frac", "1.7e308", "--relays", "4", "--out", str(out_dir)])
-    assert code == EXIT_OK
+    assert run_without_warnings("--sigma-frac 1.7e308 --relays 4", out_dir) == EXIT_OK
+    assert (out_dir / "manifest.txt").is_file()
+
+
+def test_run_end_to_end_km_past_std_squares_writes_bundle(tmp_path):
+    # Times near 1e195 hr: np.std's squares overflow to inf, with no warning.
+    out_dir = tmp_path / "farther"
+    flags = "--end-to-end-km 1e200 --runs 3 --packets 5 --relays 4"
+    assert run_without_warnings(flags, out_dir) == EXIT_OK
+    assert (out_dir / "manifest.txt").is_file()
+
+
+def test_run_sigma_frac_overflow_over_zero_quality_writes_bundle(tmp_path):
+    # Beta(1e-300, 2) draws qualities of exactly 0, and 0 * inf is NaN: the
+    # survival draw used to reject that NaN quality with a ValueError.  A
+    # zero default now stays at its floor, 0.
+    out_dir = tmp_path / "zero_quality"
+    flags = "--sigma-frac 1.7e308 --beta-a 1e-300 --relays 4 --runs 2 --packets 3"
+    assert run_without_warnings(flags, out_dir) == EXIT_OK
     assert (out_dir / "manifest.txt").is_file()
 
 
@@ -205,3 +232,50 @@ def test_edge_config_sweep_ends_in_documented_exit_codes(tmp_path):
             assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION, EXIT_IO), argv
         else:
             assert code == want, argv
+
+
+# Float keys for the fuzz below: zero, the smallest subnormal, every tenth
+# power of ten from 1e-300 to 1e300, and nearly the float maximum.
+FUZZ_FLOATS = (0.0, 5e-324, *(float(f"1e{k}") for k in range(-300, 301, 10)), 1.7e308)
+FUZZ_FLOAT_KEYS = ("sigma_frac", "beta_a", "beta_b", "end_to_end_km", "min_coord_km")
+
+
+def fuzz_flags(seed: int, count: int):
+    """count seeded `run` flag lists: <= 10 relays, <= 3 runs x 3 packets."""
+    r = random.Random(seed)
+    for _ in range(count):
+        flags = ["--relays", str(r.randint(1, 10)), "--runs", str(r.randint(1, 3))]
+        flags += ["--packets", str(r.randint(1, 3)), "--seed", str(r.randrange(2**32))]
+        flags += ["--step-budget-factor", str(r.randint(1, 10))]
+        flags += ["--format", r.choice(("csv", "json", "both"))]
+        flags += ["--baseline", r.choice(("bundle", "distance_dijkstra", "quality_dijkstra"))]
+        for key in FUZZ_FLOAT_KEYS:
+            flags += ["--" + key.replace("_", "-"), repr(r.choice(FUZZ_FLOATS))]
+        yield flags
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fuzzed_configs_end_in_bundle_or_documented_exit(tmp_path, capsys):
+    # Every config ends in a bundle or a documented exit code with a one-line
+    # message, never an exception or a numpy warning (an error here).
+    failures = []
+    codes = collections.Counter()
+    for k, flags in enumerate(fuzz_flags(seed=2, count=200)):
+        out_dir = tmp_path / f"f{k}"
+        try:
+            code = main(["run", *flags, "--out", str(out_dir)])
+        except Exception as exc:  # any escape is a failure, reported below
+            failures.append((flags, repr(exc)))
+            continue
+        finally:
+            err = capsys.readouterr().err
+        codes[code] += 1
+        if code not in (EXIT_OK, EXIT_CONFIG, EXIT_SIMULATION, EXIT_IO):
+            failures.append((flags, f"exit {code}"))
+        elif code != EXIT_OK and err.count("\n") != 1:
+            failures.append((flags, f"exit {code} with stderr {err!r}"))
+        elif code == EXIT_OK and not (out_dir / "manifest.txt").is_file():
+            failures.append((flags, "exit 0 without a manifest"))
+    assert failures == []
+    # Both outcomes occur, so the list exercises runs as well as rejections.
+    assert codes[EXIT_OK] >= 50 and codes[EXIT_CONFIG] >= 50, codes

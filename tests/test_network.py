@@ -202,6 +202,18 @@ def test_reset_restores_fresh_state():
     assert np.array_equal(network.current_quality, fresh_q)
 
 
+def test_perturb_keeps_one_block_until_reset():
+    network = build_random_network(seed=8, relay_count=3)
+    assert network._block is None
+    perturb(network, rng(1), 0.3)
+    block = network._block
+    assert block[0] == 0.0 and network._jittered.base is block
+    perturb(network, rng(2), 0.3)
+    assert network._block is block
+    reset(network)
+    assert network._block is None and network._jittered is None
+
+
 def test_perturb_draws_one_normal_block():
     network = build_random_network(seed=8, relay_count=5)
     r, twin = rng(4), rng(4)

@@ -156,6 +156,12 @@ def test_next_hop_rejects_out_of_range_nodes(protocol, current, dst):
         next_hop(network, protocol, current, dst)
 
 
+def test_next_hop_rejects_unknown_protocol():
+    network = build_random_network(seed=3, relay_count=2)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        next_hop(network, "distance_dijkstra", 0, 1)
+
+
 def test_next_hop_matches_reference_tie_order():
     # The heap reference carries whole paths, so it defines the tie order:
     # cost, then hop count, then the lexicographically smallest path.  High
@@ -217,6 +223,32 @@ def test_layered_search_matches_reference(relay_count):
                     assert kernel(network, kind, src, dst) == want, (kernel, kind, src)
                 decisions += 1
     assert decisions == 9 * 2 * (relay_count + 1)
+
+
+@pytest.mark.parametrize("relay_count", [2, 10, 30])
+def test_layered_search_matches_reference_on_zero_cost_ties(relay_count):
+    # Links pinned to quality 1.0 cost zero, so exact ties and zero-cost
+    # detours abound; pinning the diagonal too puts a zero on it, which the
+    # layered search must never take for a path.
+    decisions = 0
+    for seed, share in enumerate((0.2, 0.5, 0.9)):
+        network = build_random_network(seed=300 + seed, relay_count=relay_count)
+        rows, cols = network.links.nonzero()
+        pin = rng(seed).random(network.link_count) < share
+        quality = network.default_quality
+        quality[rows[pin], cols[pin]] = quality[cols[pin], rows[pin]] = 1.0
+        np.fill_diagonal(quality, 1.0)
+        reset(network)
+        for kind in CostKind:
+            for dst in (network.ground_id, network.node_count - 1):
+                for src in range(network.node_count):
+                    if src == dst:
+                        continue
+                    want = reference_dijkstra_path(network, kind, src, dst)[1]
+                    got = routing._layered_next_hop(network, kind, src, dst)
+                    assert got == want, (seed, kind, src, dst)
+                    decisions += 1
+    assert decisions == 3 * 2 * 2 * (relay_count + 1)
 
 
 def test_layered_search_keeps_fewer_hops_on_equal_cost():

@@ -203,30 +203,60 @@ def test_cumulative_running_mean_examples():
         cumulative_running_mean([])
 
 
-def make_columns(times, damaged_count):
-    """One protocol's time and damage columns; the first damaged_count are damaged."""
-    damaged = np.arange(len(times)) < damaged_count
-    return np.array(times, dtype=np.float64), damaged
+def make_columns(times, damaged_counts):
+    """A run's (protocol, packet) columns, row j for PROTOCOL_ORDER[j].
+
+    Every protocol gets the given times; protocol j's first
+    damaged_counts[j] packets are damaged.
+    """
+    columns = np.array([times] * len(PROTOCOL_ORDER), dtype=np.float64)
+    damaged = np.arange(columns.shape[1]) < np.array(damaged_counts)[:, None]
+    return columns, damaged
 
 
 def test_percent_error_is_damaged_share():
-    columns = make_columns([1.5] * 500, damaged_count=182)
-    summary = summarize_protocol_records(ProtocolKind.BUNDLE, *columns)
-    assert summary.percent_error == pytest.approx(36.4)
+    summaries = summarize_protocol_records(*make_columns([1.5] * 500, (182, 0, 500)))
+    assert list(summaries) == list(PROTOCOL_ORDER)
+    assert [s.protocol for s in summaries.values()] == list(PROTOCOL_ORDER)
+    errors = [summaries[p].percent_error for p in PROTOCOL_ORDER]
+    assert errors == [pytest.approx(36.4), 0.0, 100.0]
 
 
 def test_run_summary_sem_definition():
     times = list(rng(7).normal(1.5, 0.2, size=400))
-    summary = summarize_protocol_records(ProtocolKind.BUNDLE, *make_columns(times, 10))
-    assert summary.time_sem_hr == pytest.approx(summary.time_std_hr / math.sqrt(400))
-    assert np.allclose(summary.crm_hr, cumulative_running_mean(times))
+    for summary in summarize_protocol_records(*make_columns(times, (10, 10, 10))).values():
+        assert summary.time_sem_hr == pytest.approx(summary.time_std_hr / math.sqrt(400))
+        assert np.allclose(summary.crm_hr, cumulative_running_mean(times))
 
 
 def test_single_packet_run_has_undefined_spread():
-    summary = summarize_protocol_records(ProtocolKind.BUNDLE, *make_columns([1.2], 0))
-    assert summary.time_mean_hr == pytest.approx(1.2)
-    assert math.isnan(summary.time_std_hr)
-    assert math.isnan(summary.time_sem_hr)
+    for summary in summarize_protocol_records(*make_columns([1.2], (0, 0, 0))).values():
+        assert summary.time_mean_hr == pytest.approx(1.2)
+        assert math.isnan(summary.time_std_hr)
+        assert math.isnan(summary.time_sem_hr)
+
+
+@pytest.mark.parametrize("packets", [1, 2, 7, 8, 9, 128, 129])
+def test_summaries_equal_per_row_numpy_calls_bit_for_bit(packets):
+    # One call along the packet axis must sum each row as the 1-D call does.
+    # The sizes straddle numpy's pairwise-sum blocks (8-way unrolling, blocks
+    # of 128); at one packet the std is NaN.
+    r = rng(packets)
+    for scale in (1.0, 1e-3, 1e6):
+        times = r.lognormal(0.0, 1.0, size=(len(PROTOCOL_ORDER), packets)) * scale
+        damaged = r.random(times.shape) < 0.3
+        summaries = summarize_protocol_records(times, damaged)
+        for row, d, p in zip(times, damaged, PROTOCOL_ORDER):
+            s = summaries[p]
+            assert s.time_mean_hr == float(np.mean(row))
+            if packets == 1:
+                assert math.isnan(s.time_std_hr) and math.isnan(s.time_sem_hr)
+            else:
+                std = float(np.std(row, ddof=1))
+                assert s.time_std_hr == std
+                assert s.time_sem_hr == std / math.sqrt(packets)
+            assert s.crm_hr.tolist() == (np.cumsum(row) / np.arange(1, packets + 1)).tolist()
+            assert s.percent_error == 100.0 * int(np.count_nonzero(d)) / packets
 
 
 def small_config(**kw):
@@ -246,7 +276,9 @@ def test_run_simulation_deterministic():
 
 
 def test_run_simulation_resets_between_packets():
-    # The engine must equal a hand-rolled loop of reset + simulate per packet.
+    # The engine must equal a hand-rolled loop of reset + simulate per packet,
+    # though it resets only once, after the last packet: each packet's first
+    # perturb rewrites the whole current state from the defaults.
     cfg = small_config(packet_count=5)
     result = run_simulation(cfg, rng(21))
     got = result.records
@@ -273,6 +305,14 @@ def test_run_simulation_resets_between_packets():
             r.state is PacketState.DAMAGED for r in replayed
         ]
         assert result.routes[j] == [r.route for r in replayed]
+
+
+def test_run_simulation_returns_network_at_defaults_without_scratch_block():
+    result = run_simulation(small_config(packet_count=3), rng(4))
+    network = result.network
+    assert np.array_equal(network.current_quality, network.default_quality)
+    assert np.array_equal(network.current_distance, network.default_distance)
+    assert network._block is None and network._jittered is None
 
 
 def test_run_result_holds_columns_not_records():
