@@ -40,10 +40,12 @@ _QUALITY = ProtocolKind.QUALITY_DIJKSTRA
 # dijkstra_path and next_hop switch from _search to _layered_next_hop at this
 # graph size.
 # Timed per search on a 2-vCPU VM (seed 1, 40 perturbed states, every source,
-# both cost kinds, three passes), the layered search is slower up to
-# 14 relays (26-28 against 17-19 us at 10), splits the passes at 15 and 16
-# and wins in every pass from 17 relays (19 nodes) up (38-40 against 68-72 us
-# at 26): numpy's per-call overhead outweighs the list loop on small graphs.
+# both cost kinds, three passes, both kernels stopped by the cheapest-last-hop
+# bound), the layered search is slower up to 14 relays (10.1-10.5 against
+# 7.1-7.3 us at 10), wins by 2-5% at 15 and 16 relays and by 45% at 26
+# (15.9-16.0 against 28.7-29.2 us): numpy's per-call overhead outweighs the
+# list loop on small graphs.  The switch stays at 17 relays (19 nodes): no
+# benchmark workload has 15 or 16 relays, and both kernels pick the same hop.
 LAYERED_MIN_NODES = 19
 
 
@@ -91,6 +93,16 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     network it is the only path, so dst is the hop.  When every unsettled
     node costs inf (perturbed distances that overflowed), no finite path
     reaches dst and dst is the hop, as in _layered_next_hop.
+
+    The search stops early by an A* bound: last, the cheapest link into dst,
+    is the minimum of dst's row off the diagonal (NetworkState's link
+    matrices are symmetric, so the row holds the links into dst).  Every
+    path to dst through an open node costs at least best + last, as costs
+    are non-negative and floating-point addition is monotone, so once
+    best + last > cost[dst] dst's label is final.  The test is strict: a
+    path of equal cost and fewer hops would still replace dst's label.
+    dst's row is never relaxed (the search returns when dst settles), so its
+    diagonal is set to inf for the minimum.
     """
     n = network.node_count
     if n == 2:
@@ -99,6 +111,9 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     rows = _link_costs(network, kind).tolist()
     p, g = network.probe_id, network.ground_id
     rows[p][g] = rows[g][p] = inf
+    into = rows[dst]
+    into[dst] = inf
+    last = min(into)
     cost = rows[src]  # one-hop labels, whose first hop is their end node
     cost[src] = inf  # settled nodes go to inf so min() skips them
     hops = [1] * n
@@ -106,6 +121,8 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     remaining = list(range(n))
     remaining.remove(src)
     while (best := min(cost)) < inf:
+        if best + last > cost[dst]:
+            return first[dst]
         u = cost.index(best)
         if cost.count(best) > 1:
             for v in remaining:
@@ -135,6 +152,23 @@ def _node_ids(n: int) -> np.ndarray:
     return ids
 
 
+def _cap(top: float, last: float) -> float:
+    """A cost c <= top with c + last >= top in floating point.
+
+    A path of cost c or more, extended by any link into dst (each costs at
+    least last), costs at least top.  top - last rounds to a neighbor of the
+    exact difference; if it rounds below, the next float up is at or above
+    it, and addition is monotone, so one step restores the bound.  With
+    last = inf every extension costs inf and top itself is returned.
+    """
+    if last == math.inf:
+        return top
+    c = top - last
+    if c + last < top:
+        c = math.nextafter(c, math.inf)
+    return c
+
+
 def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     """The first hop _search returns, found by hop-indexed relaxation.
 
@@ -150,18 +184,32 @@ def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int)
     (_search_costs), so on the two-node network the frontier starts empty
     and dst is the hop.
 
-    best holds each node's best cost capped at best[dst], so one comparison
-    applies both bounds.  The diagonal keeps its (non-negative) link cost: a
-    frontier node's path extended by its own diagonal costs no less than
-    that node's best, so the strict comparison never keeps it, and src's
-    own entry is set aside only while the first frontier is picked.
+    A path is also dropped once it cannot reach dst strictly cheaper than
+    top, the best cost to dst so far: every link into dst costs at least
+    last, the minimum of dst's row off the diagonal (NetworkState's link
+    matrices are symmetric), so a path of cost _cap(top, last) or more ends
+    at dst no cheaper than top.  Unlike _search's, this test is not strict,
+    because a later path to dst has more hops and must be strictly cheaper.
+    best holds each node's best cost capped there, so one comparison applies
+    both bounds, and the cap is recomputed only when dst improves.  dst's
+    row is never gathered (dst never joins the frontier), so its diagonal is
+    set to inf for the minimum.  Other diagonals keep their (non-negative)
+    link costs: a frontier node's path extended by its own diagonal costs no
+    less than that node's best, so the strict comparison never keeps it,
+    and src's own entry is set aside only while the first frontier is
+    picked.
     """
     costs = _search_costs(network, kind)
+    into = costs[dst]
+    into[dst] = math.inf
+    last = float(into.min())
     best = costs[src].copy()  # one-hop paths
+    top = float(best[dst])
+    cap = _cap(top, last)
     best[src] = math.inf
-    frontier = (best < best[dst]).nonzero()[0]
+    frontier = (best < cap).nonzero()[0]
     best[src] = 0.0
-    np.minimum(best, best[dst], out=best)
+    np.minimum(best, cap, out=best)
     cost = best[frontier]
     first = frontier  # first hop of each frontier path
     hop = dst
@@ -171,9 +219,10 @@ def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int)
         reach += cost[:, None]
         via = reach.argmin(axis=0)  # frontier position of each node's best predecessor
         reach = reach[via, columns]
-        if reach[dst] < best[dst]:
+        if reach[dst] < top:
+            top = float(reach[dst])
             hop = first[via[dst]]
-            np.minimum(best, reach[dst], out=best)
+            np.minimum(best, _cap(top, last), out=best)
         nodes = (reach < best).nonzero()[0]
         via = via[nodes]
         order = via.argsort(kind="stable")  # nodes ascend, so ties keep node order

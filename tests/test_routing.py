@@ -8,6 +8,8 @@ import pytest
 
 from dtn_tradesim import routing
 from dtn_tradesim.network import (
+    GROUND_ID,
+    PROBE_ID,
     SPEED_OF_LIGHT_KM_S,
     CostKind,
     NodeKind,
@@ -211,18 +213,21 @@ def test_layered_search_matches_reference(relay_count):
     perfect = build(9)
     perfect.default_quality[:] = 1.0
     networks.append(reset(perfect))
+    # The kernels' stop bound reads dst's own row, so search toward the probe
+    # and the last relay too, not only the ground station.
+    dsts = sorted({GROUND_ID, PROBE_ID, relay_count + 1})
     decisions = 0
     for network in networks:
-        dst = network.ground_id
         for kind in CostKind:
-            for src in range(network.node_count):
-                if src == dst:
-                    continue
-                want = reference_dijkstra_path(network, kind, src, dst)[1]
-                for kernel in KERNELS:
-                    assert kernel(network, kind, src, dst) == want, (kernel, kind, src)
-                decisions += 1
-    assert decisions == 9 * 2 * (relay_count + 1)
+            for dst in dsts:
+                for src in range(network.node_count):
+                    if src == dst:
+                        continue
+                    want = reference_dijkstra_path(network, kind, src, dst)[1]
+                    for kernel in KERNELS:
+                        assert kernel(network, kind, src, dst) == want, (kernel, kind, src, dst)
+                    decisions += 1
+    assert decisions == 9 * 2 * len(dsts) * (relay_count + 1)
 
 
 @pytest.mark.parametrize("relay_count", [2, 10, 30])
@@ -275,6 +280,57 @@ def test_layered_search_keeps_fewer_hops_on_equal_cost():
     assert reference_dijkstra_path(network, kind, 0, 1) == (0, 2, 1)
     for kernel in KERNELS:
         assert kernel(network, kind, 0, 1) == 2, kernel
+
+
+def test_search_stop_bound_is_strict_on_an_exact_tie():
+    # Quality costs, all exact in binary: 0-3-4-1 costs 0.125 + 0.125 + 0.75
+    # and 0-2-1 costs 0.5 + 0.5, both 1.0.  The cheapest link into the
+    # ground is 2-1 (last = 0.5).  _search labels the ground through the
+    # 3-hop path first; when relay 2 is the cheapest open node, its label
+    # plus last ties the ground's label exactly, and only going on (the
+    # strict test) lets its 2-hop path replace the ground's label, as the
+    # reference order requires.
+    network = build_custom_network(
+        [
+            (NodeKind.PROBE, 0.0, 0.0),
+            (NodeKind.GROUND, 9.0 * C, 0.0),
+            (NodeKind.RELAY, 4.0 * C, 3.0 * C),
+            (NodeKind.RELAY, 4.0 * C, -3.0 * C),
+            (NodeKind.RELAY, 6.0 * C, -3.0 * C),
+        ]
+    )
+    network.default_quality[:] = 0.0  # every other link costs 1.0
+    for a, b, quality in ((0, 2, 0.5), (2, 1, 0.5), (0, 3, 0.875), (3, 4, 0.875), (4, 1, 0.25)):
+        set_link(network, a, b, quality=quality)
+    kind = CostKind.QUALITY_COMPLEMENT
+    assert path_cost(network, kind, (0, 3, 4, 1)) == path_cost(network, kind, (0, 2, 1)) == 1.0
+    assert reference_dijkstra_path(network, kind, 0, 1) == (0, 2, 1)
+    for kernel in KERNELS:
+        assert kernel(network, kind, 0, 1) == 2, kernel
+
+
+_CAP_EDGES = (0.0, 5e-324, 1e-300, 0.1, 0.5, 1.0, 3.0, 1e16, 1e308, math.inf)
+
+
+def test_cap_bounds_every_extension_into_dst():
+    # cap <= top, and cap + last >= top, so a path dropped at the cap cannot
+    # reach dst strictly cheaper than top; the cap is at most one float above
+    # top - last, so it prunes almost all that the bound allows.
+    r = rng(17)
+    cases = [(top, last) for top in _CAP_EDGES for last in _CAP_EDGES]
+    cases += [(t, t) for t in _CAP_EDGES]
+    for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+        tops = r.random(300) * scale
+        lasts = tops * r.random(300)  # last <= top, as on a network
+        cases += zip(tops.tolist(), lasts.tolist())
+        cases += zip(tops.tolist(), (r.random(300) * scale).tolist())
+    for top, last in cases:
+        cap = routing._cap(top, last)
+        assert not math.isnan(cap) and not math.isnan(cap + last), (top, last)
+        assert cap <= top, (top, last, cap)
+        assert cap + last >= top, (top, last, cap)
+        if last < math.inf and top < math.inf:
+            assert cap <= math.nextafter(top - last, math.inf), (top, last, cap)
 
 
 # The oracles in helpers search edge_cost_matrix, which prices the direct

@@ -493,9 +493,10 @@ def test_default_study_golden_bundle(tmp_path, monkeypatch):
 
 # sha256 of packets.csv for seed-0 studies at 40 relays, 2 runs x 10 packets,
 # at 60 relays, 5 runs x 40 packets (perfbench's dense_60 shape), and at
-# 4 and 16 relays, 20 runs x 50 packets (4 is many_runs_small's graph size).
+# 4 and 16 relays, 20 runs x 50 packets (4 is many_runs_small's graph size),
+# and at 120 relays, 1 run x 3 packets (the largest graph of the relay sweep).
 # The golden bundle above runs 10 relays, below routing.LAYERED_MIN_NODES;
-# the 40- and 60-relay graphs are above it, so they pin the routes the
+# the 40-, 60- and 120-relay graphs are above it, so they pin the routes the
 # layered search picks. The 4-relay studies pin a graph with few links over
 # many runs, so many network builds, resets and perturbations. 16 relays
 # (18 nodes) is the largest graph that the list search serves.
@@ -503,6 +504,7 @@ _RELAYS_4 = {"relay_count": 4, "run_count": 20, "packet_count": 50}
 _RELAYS_16 = {"relay_count": 16, "run_count": 20, "packet_count": 50}
 _RELAYS_40 = {"relay_count": 40, "run_count": 2, "packet_count": 10}
 _RELAYS_60 = {"relay_count": 60, "run_count": 5, "packet_count": 40}
+_RELAYS_120 = {"relay_count": 120, "run_count": 1, "packet_count": 3}
 
 
 @pytest.mark.parametrize(
@@ -528,6 +530,11 @@ _RELAYS_60 = {"relay_count": 60, "run_count": 5, "packet_count": 40}
             {**_RELAYS_16, "sigma_frac": 2.0},
             "648e82680e79c6fda800b152e62b1d17a6d9a8a1ed4fcd1d7ffd631292f36dbe",
         ),
+        (_RELAYS_120, "32ac300f28e461c93bf061e613e09775c9dfe0f8029a7993bdb410224d75a879"),
+        (
+            {**_RELAYS_120, "sigma_frac": 0.6},
+            "14b450eb12f04f1bdd84de1eb79f2928c524785537387857f33a061cdff7db2e",
+        ),
     ],
     ids=[
         "default",
@@ -538,6 +545,8 @@ _RELAYS_60 = {"relay_count": 60, "run_count": 5, "packet_count": 40}
         "4_relays_sigma_0.6",
         "16_relays_default",
         "16_relays_sigma_2.0",
+        "120_relays_default",
+        "120_relays_sigma_0.6",
     ],
 )
 def test_large_relay_graph_golden_packets(tmp_path, keys, digest):
