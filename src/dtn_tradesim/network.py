@@ -95,7 +95,8 @@ class NetworkState:
     link and stays zero.  The default and the current values are each one
     (2, n, n) stack, quality layer then distance layer, and the four link
     attributes are views of those layers.  perturb keeps its link block
-    (see _link_layout) on the network between calls; reset releases it.
+    (see _link_layout) and its clamp bounds (see _clamp_bounds) on the
+    network between calls; reset releases both.
     """
 
     probe_id = PROBE_ID
@@ -112,7 +113,7 @@ class NetworkState:
         self._current = np.zeros((2, n, n))
         self.default_quality, self.default_distance = self._defaults
         self.current_quality, self.current_distance = self._current
-        self._block = self._jittered = None
+        self._block = self._jittered = self._floor = self._ceiling = None
 
 
 def _set_links(network: NetworkState, stack: np.ndarray, block: np.ndarray) -> None:
@@ -176,20 +177,22 @@ def perturb(
     normals are drawn straight into the network's link block (see
     _link_layout), scaled there in place, clamped by one fmax and one
     minimum over the whole block against read-only bounds (see
-    _clamp_bounds; min_coord_km is read from the network on every call), and
-    written to both layers in one pass, the diagonal included.  The block is
-    allocated, with its zero, on the first call after a build or a reset,
-    and kept on the network until the next reset.  The defaults are gathered
-    anew on every call, so writes into ``default_*`` made after the build
-    are followed without a reset.
+    _clamp_bounds), and written to both layers by one take, the diagonal
+    included.  The block and the bounds are fetched, with the block's zero,
+    on the first call after a build or a reset, and kept on the network
+    until the next reset; so min_coord_km is read once per block, and a
+    change to it is followed after a reset.  The defaults are gathered anew
+    on every call, so writes into ``default_*`` made after the build are
+    followed without a reset.
     """
     if sigma_frac < 0:
         raise ConfigurationError(f"sigma_frac must be >= 0, got {sigma_frac}")
-    m = network.link_count
     jittered = network._jittered
     if jittered is None:
+        m = network.link_count
         network._block = np.zeros(1 + 2 * m)  # [0] is the diagonal's zero
         jittered = network._jittered = network._block[1:]
+        network._floor, network._ceiling = _clamp_bounds(m, network.min_coord_km)
     # The same stream as standard_normal((2, m)): qualities, then distances.
     rng.standard_normal(out=jittered)
     # default * (1.0 + sigma_frac * z), one in-place IEEE step at a time.
@@ -198,21 +201,21 @@ def perturb(
     jittered *= network._defaults.take(network._gather)
     # fmax/minimum clamp like np.clip, with less overhead on small arrays;
     # fmax also sends NaN (a zero default times an overflowed inf) to the floor.
-    floor, ceiling = _clamp_bounds(m, network.min_coord_km)
-    np.fmax(jittered, floor, out=jittered)
-    np.minimum(jittered, ceiling, out=jittered)
-    _set_links(network, network._current, network._block)
+    np.fmax(jittered, network._floor, out=jittered)
+    np.minimum(jittered, network._ceiling, out=jittered)
+    # _set_links's write, inlined: "raise" would buffer.
+    network._block.take(network._slots, out=network._current, mode="clip")
     return network
 
 
 def reset(network: NetworkState) -> NetworkState:
     """Restore current link state to the build-time defaults, in place.
 
-    Also releases perturb's link block, so a reset network holds no scratch
-    state.
+    Also releases perturb's link block and clamp bounds, so a reset network
+    holds no scratch state and its next perturb reads min_coord_km anew.
     """
     np.copyto(network._current, network._defaults)
-    network._block = network._jittered = None
+    network._block = network._jittered = network._floor = network._ceiling = None
     return network
 
 

@@ -38,15 +38,18 @@ _DISTANCE = ProtocolKind.DISTANCE_DIJKSTRA
 _QUALITY = ProtocolKind.QUALITY_DIJKSTRA
 
 # dijkstra_path and next_hop switch from _search to _layered_next_hop at this
-# graph size.
-# Timed per search on a 2-vCPU VM (seed 1, 40 perturbed states, every source,
-# both cost kinds, three passes, both kernels stopped by the cheapest-last-hop
-# bound), the layered search is slower up to 14 relays (10.1-10.5 against
-# 7.1-7.3 us at 10), wins by 2-5% at 15 and 16 relays and by 45% at 26
-# (15.9-16.0 against 28.7-29.2 us): numpy's per-call overhead outweighs the
-# list loop on small graphs.  The switch stays at 17 relays (19 nodes): no
-# benchmark workload has 15 or 16 relays, and both kernels pick the same hop.
-LAYERED_MIN_NODES = 19
+# graph size, where the layered search starts to win per search.
+# Timed per search on a 2-vCPU VM (seed 1, 40 perturbed states per size,
+# every source, both cost kinds, dst = ground; alternating passes, 14 at
+# sigma 0.05 and 7 at sigma 0.6), the list search wins up to 14 relays
+# (8.9-9.5 against 10.7-11.9 us at 12, sigma 0.05) and at 15 relays is
+# even at sigma 0.05 but 4-17% faster at sigma 0.6.  From 16 relays the
+# layered search wins at both (by 0.5-4%, in 12 of 14 and 6 of 7 passes),
+# and by 6-18% at 17.  numpy's per-call overhead outweighs the list loop on
+# small graphs.  End to end, a 16-relay run_simulation is 5% faster with the
+# switch here than at 19 nodes at sigma 0.05 and 3% slower at sigma 0.6.
+# Both kernels pick the same hop.
+LAYERED_MIN_NODES = 18
 
 
 def dijkstra_path(network: NetworkState, kind: CostKind, src: int, dst: int) -> Route:
@@ -102,7 +105,11 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     best + last > cost[dst] dst's label is final.  The test is strict: a
     path of equal cost and fewer hops would still replace dst's label.
     dst's row is never relaxed (the search returns when dst settles), so its
-    diagonal is set to inf for the minimum.
+    diagonal is set to inf for the minimum.  The first test comes before the
+    hop, first-hop and open-node lists are built: when the cheapest one-hop
+    label plus last is above the direct label, dst is the hop and no node
+    settles.  It never ends a search from the probe to the ground, whose
+    direct label is inf.
     """
     n = network.node_count
     if n == 2:
@@ -116,13 +123,14 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     last = min(into)
     cost = rows[src]  # one-hop labels, whose first hop is their end node
     cost[src] = inf  # settled nodes go to inf so min() skips them
+    best = min(cost)
+    if best + last > cost[dst]:
+        return dst  # the direct label is final before any node settles
     hops = [1] * n
     first = list(range(n))
     remaining = list(range(n))
     remaining.remove(src)
-    while (best := min(cost)) < inf:
-        if best + last > cost[dst]:
-            return first[dst]
+    while best < inf:
         u = cost.index(best)
         if cost.count(best) > 1:
             for v in remaining:
@@ -141,6 +149,9 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
                 cost[v] = c
                 hops[v] = hu
                 first[v] = fu
+        best = min(cost)
+        if best + last > cost[dst]:
+            return first[dst]
     return dst
 
 

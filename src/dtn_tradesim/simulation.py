@@ -12,6 +12,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +41,18 @@ class PacketState(Enum):
     DAMAGED = "damaged"
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """Outcome of one protocol copy of one packet."""
+# Read once per packet copy: reading a member off its Enum class runs Python
+# code on every access.
+_INTACT = PacketState.INTACT
+_DAMAGED = PacketState.DAMAGED
+
+
+class PacketRecord(NamedTuple):
+    """Outcome of one protocol copy of one packet.
+
+    A NamedTuple: its fields are read-only, it unpacks by position in field
+    order, and it equals (and hashes as) the plain tuple of its fields.
+    """
 
     packet_index: int
     protocol: ProtocolKind
@@ -101,7 +111,7 @@ class RunResult:
     def records(self) -> list[PacketRecord]:
         """The outcomes as PacketRecords, built anew on each access."""
         return [
-            PacketRecord(k, p, route, t, PacketState.DAMAGED if d else PacketState.INTACT)
+            PacketRecord(k, p, route, t, _DAMAGED if d else _INTACT)
             for k, p, t, d, route in self.outcomes()
         ]
 
@@ -127,21 +137,25 @@ def simulate_packet(
     """Route one packet's three protocol copies from the probe to the ground.
 
     Per step: perturb the shared network once, then advance every copy that
-    has not yet arrived.  Hop timing accrues the traversed link's build-time
-    geometric distance over the speed of light, while the survival draw uses
-    the link's current (perturbed) quality.  Exceeding the step budget
-    raises SimulationFault.
+    has not yet arrived, in PROTOCOL_ORDER.  Each copy is one mutable slot
+    [protocol, route, seconds, damaged]; its route ends at its current node.
+    Hop timing accrues the traversed link's build-time geometric distance
+    over the speed of light, while the survival draw uses the link's
+    current (perturbed) quality; both matrices are read once per packet,
+    and perturb writes the current one in place.  perturb (once per step),
+    next_hop and hop_outcome (once per step of each copy) are looked up in
+    this module's globals at each call.  Exceeding the step budget raises
+    SimulationFault.  Returns one PacketRecord per protocol, in
+    PROTOCOL_ORDER.
     """
     if step_budget is None:
         step_budget = StudyConfig.step_budget_factor * network.node_count
     src = network.probe_id
     dst = network.ground_id
-    # Copy i travels for PROTOCOL_ORDER[i]; its route ends at its current node.
-    routes = [[src] for _ in PROTOCOL_ORDER]
-    time_s = [0.0] * len(PROTOCOL_ORDER)
-    damaged = [False] * len(PROTOCOL_ORDER)
-
-    in_flight = list(range(len(PROTOCOL_ORDER)))
+    distance = network.default_distance
+    quality = network.current_quality
+    copies = [[p, [src], 0.0, False] for p in PROTOCOL_ORDER]
+    in_flight = copies
     steps = 0
     while in_flight:
         if steps >= step_budget:
@@ -149,31 +163,27 @@ def simulate_packet(
                 f"packet {packet_index}: step budget {step_budget} exceeded "
                 f"with copies still in flight: "
                 + "; ".join(
-                    f"{PROTOCOL_ORDER[i].value} route " + "-".join(map(str, routes[i]))
-                    for i in in_flight
+                    f"{p.value} route " + "-".join(map(str, route))
+                    for p, route, _, _ in in_flight
                 )
             )
         perturb(network, rng, sigma_frac)
-        for i in in_flight:
-            route = routes[i]
+        for copy in in_flight:
+            route = copy[1]
             u = route[-1]
-            v = next_hop(network, PROTOCOL_ORDER[i], u, dst)
-            time_s[i] += network.default_distance.item(u, v) / SPEED_OF_LIGHT_KM_S
-            if not hop_outcome(rng, network.current_quality.item(u, v)):
-                damaged[i] = True
+            v = next_hop(network, copy[0], u, dst)
+            copy[2] += distance.item(u, v) / SPEED_OF_LIGHT_KM_S
+            if not hop_outcome(rng, quality.item(u, v)):
+                copy[3] = True
             route.append(v)
-        in_flight = [i for i in in_flight if routes[i][-1] != dst]
+        in_flight = [copy for copy in in_flight if copy[1][-1] != dst]
         steps += 1
 
     return [
         PacketRecord(
-            packet_index,
-            p,
-            tuple(route),
-            t / SECONDS_PER_HOUR,
-            PacketState.DAMAGED if d else PacketState.INTACT,
+            packet_index, p, tuple(route), t / SECONDS_PER_HOUR, _DAMAGED if d else _INTACT
         )
-        for p, route, t, d in zip(PROTOCOL_ORDER, routes, time_s, damaged)
+        for p, route, t, d in copies
     ]
 
 
@@ -246,10 +256,10 @@ def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
         copies = simulate_packet(
             network, rng, config.sigma_frac, packet_index=k, step_budget=budget
         )
-        for copy, t, d, r in zip(copies, times, flags, routes):
-            t.append(copy.transmission_time_hr)
-            d.append(copy.state is PacketState.DAMAGED)
-            r.append(interned.setdefault(copy.route, copy.route))
+        for (_, _, route, t, state), ts, ds, rs in zip(copies, times, flags, routes):
+            ts.append(t)
+            ds.append(state is _DAMAGED)
+            rs.append(interned.setdefault(route, route))
     reset(network)
     times_hr[:] = times
     damaged[:] = flags

@@ -204,14 +204,37 @@ def test_reset_restores_fresh_state():
 
 def test_perturb_keeps_one_block_until_reset():
     network = build_random_network(seed=8, relay_count=3)
-    assert network._block is None
+    assert network._block is None and network._floor is None
     perturb(network, rng(1), 0.3)
-    block = network._block
+    block, floor, ceiling = network._block, network._floor, network._ceiling
     assert block[0] == 0.0 and network._jittered.base is block
+    assert floor.shape == ceiling.shape == network._jittered.shape
+    assert floor.max() == network.min_coord_km and ceiling.min() == 1.0
     perturb(network, rng(2), 0.3)
     assert network._block is block
+    assert network._floor is floor and network._ceiling is ceiling
     reset(network)
     assert network._block is None and network._jittered is None
+    assert network._floor is None and network._ceiling is None
+
+
+def test_perturb_clamps_each_network_to_its_own_floor():
+    # perturb holds its clamp bounds from its first call after a build or a
+    # reset.  Two networks of one size with different floors, perturbed in
+    # turn, must each keep clamping to their own min_coord_km.  At sigma 3
+    # about a third of the draws send a distance below zero, so every step
+    # clamps some link to the floor.
+    sigma = 3.0
+    networks = [
+        build_random_network(seed=8, relay_count=5, min_coord_km=floor)
+        for floor in (1.0e4, 1.0e8)
+    ]
+    streams = [rng(31), rng(32)]
+    for _ in range(3):
+        for network, r in zip(networks, streams):
+            perturb(network, r, sigma)
+            distances = network.current_distance[network.links]
+            assert distances.min() == network.min_coord_km
 
 
 def test_perturb_draws_one_normal_block():

@@ -309,6 +309,84 @@ def test_search_stop_bound_is_strict_on_an_exact_tie():
         assert kernel(network, kind, 0, 1) == 2, kernel
 
 
+def _search_settling(network, kind, src, dst):
+    """_search's hop and the nodes its settle loop picks, in order.
+
+    The loop picks each node by an index call on the source's cost row, so
+    the rows are lists that log those calls.
+    """
+    settled = []
+
+    class Row(list):
+        def index(self, value, *args):
+            settled.append(u := super().index(value, *args))
+            return u
+
+    class Costs:
+        def __init__(self, costs):
+            self.costs = costs
+
+        def tolist(self):
+            return [Row(row) for row in self.costs.tolist()]
+
+    real = routing._link_costs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(routing, "_link_costs", lambda *args: Costs(real(*args)))
+        hop = routing._search(network, kind, src, dst)
+    return hop, settled
+
+
+def first_check_network():
+    """Probe 0, ground 1 and relays 2-4; every link costs 1.0 (quality 0)
+    unless set, in quality costs exact in binary."""
+    network = build_custom_network(
+        [
+            (NodeKind.PROBE, 0.0, 0.0),
+            (NodeKind.GROUND, 9.0 * C, 0.0),
+            (NodeKind.RELAY, 4.0 * C, 3.0 * C),
+            (NodeKind.RELAY, 4.0 * C, -3.0 * C),
+            (NodeKind.RELAY, 6.0 * C, -3.0 * C),
+        ]
+    )
+    network.default_quality[:] = 0.0
+    return network
+
+
+def test_search_first_check_returns_the_direct_hop_before_settling():
+    # From relay 2: its one-hop labels are 0.25 to relay 3, 0.5 to the
+    # ground and 1.0 elsewhere.  The cheapest link into the ground is 4-1,
+    # so last = 0.375, and 0.25 + 0.375 > 0.5: no path through an open node
+    # can beat the direct label, so the ground is the hop and no node
+    # settles.  The cheapest one-hop neighbour, relay 3, is not the hop.
+    network = first_check_network()
+    for a, b, quality in ((2, 3, 0.75), (2, 1, 0.5), (4, 1, 0.625)):
+        set_link(network, a, b, quality=quality)
+    kind = CostKind.QUALITY_COMPLEMENT
+    assert reference_dijkstra_path(network, kind, 2, 1) == (2, 1)
+    assert _search_settling(network, kind, 2, 1) == (1, [])
+    for kernel in KERNELS:
+        assert kernel(network, kind, 2, 1) == 1, kernel
+    # The direct probe-ground label is inf, so a search from the probe
+    # always settles a node before it returns.
+    want = reference_dijkstra_path(network, kind, 0, 1)
+    hop, settled = _search_settling(network, kind, 0, 1)
+    assert hop == want[1] and settled
+
+
+def test_search_first_check_lets_a_cheaper_two_hop_path_win():
+    # From relay 2: 2-3-1 costs 0.125 + 0.25 = 0.375, below the direct 0.5.
+    # last = 0.25 (3-1), and 0.125 + 0.25 is not above 0.5, so the search
+    # goes on, settles relay 3 and returns it as the hop.
+    network = first_check_network()
+    for a, b, quality in ((2, 3, 0.875), (3, 1, 0.75), (2, 1, 0.5)):
+        set_link(network, a, b, quality=quality)
+    kind = CostKind.QUALITY_COMPLEMENT
+    assert reference_dijkstra_path(network, kind, 2, 1) == (2, 3, 1)
+    assert _search_settling(network, kind, 2, 1) == (3, [3])
+    for kernel in KERNELS:
+        assert kernel(network, kind, 2, 1) == 3, kernel
+
+
 _CAP_EDGES = (0.0, 5e-324, 1e-300, 0.1, 0.5, 1.0, 3.0, 1e16, 1e308, math.inf)
 
 

@@ -22,6 +22,7 @@ from dtn_tradesim.config import StudyConfig
 from dtn_tradesim.routing import ProtocolKind, dijkstra_path, next_hop
 from dtn_tradesim.simulation import (
     PROTOCOL_ORDER,
+    PacketRecord,
     PacketState,
     cumulative_running_mean,
     hop_outcome,
@@ -115,6 +116,27 @@ def test_transmission_time_never_beats_straight_line():
             assert record.transmission_time_hr >= STRAIGHT_LINE_HOURS - 1e-12
 
 
+def test_packet_record_is_a_read_only_tuple_of_five_fields():
+    assert PacketRecord._fields == (
+        "packet_index",
+        "protocol",
+        "route",
+        "transmission_time_hr",
+        "state",
+    )
+    network = build_random_network(seed=37, relay_count=4)
+    records = simulate_packet(network, rng(2), sigma_frac=0.05, packet_index=7)
+    assert [r.protocol for r in records] == list(PROTOCOL_ORDER)
+    for record in records:
+        assert type(record) is PacketRecord and record.packet_index == 7
+        with pytest.raises(AttributeError):
+            record.route = ()
+        # Documented: a record equals (and hashes as) the plain tuple of its
+        # fields, in field order, so it also unpacks by position.
+        fields = tuple(getattr(record, name) for name in PacketRecord._fields)
+        assert record == fields and hash(record) == hash(fields)
+
+
 def test_static_network_routes_match_single_shot_paths():
     network = build_random_network(seed=37)
     records = simulate_packet(network, rng(2), sigma_frac=0.0)
@@ -149,6 +171,25 @@ def test_copies_share_one_state_sequence(monkeypatch):
             np.copyto(network.current_quality, quality)
             np.copyto(network.current_distance, distance)
             assert next_hop(network, record.protocol, u, network.ground_id) == v
+
+
+def test_step_loop_calls_each_layer_through_module_globals(monkeypatch):
+    # perfbench's traced run times the layers by replacing these globals, so
+    # the loop must look each one up at call time: perturb once per step,
+    # next_hop and hop_outcome once per hop of each copy.
+    calls = {"perturb": 0, "next_hop": 0, "hop_outcome": 0}
+    for name in calls:
+        real = getattr(simulation, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(simulation, name, counted)
+    network = build_random_network(seed=41, relay_count=6)
+    records = simulate_packet(network, rng(3), sigma_frac=0.6)
+    hops = [len(r.route) - 1 for r in records]
+    assert calls == {"perturb": max(hops), "next_hop": sum(hops), "hop_outcome": sum(hops)}
 
 
 def test_two_hop_loss_rate_matches_link_quality_product():
@@ -313,11 +354,13 @@ def test_run_simulation_returns_network_at_defaults_without_scratch_block():
     assert np.array_equal(network.current_quality, network.default_quality)
     assert np.array_equal(network.current_distance, network.default_distance)
     assert network._block is None and network._jittered is None
+    assert network._floor is None and network._ceiling is None
 
 
 def test_run_result_holds_columns_not_records():
-    # 3,000 packets at 4 relays: one PacketRecord per copy costs about 230 B;
-    # the time, damage and route columns with interned routes about 26 B.
+    # 3,000 packets at 4 relays: one frozen-dataclass record per copy cost
+    # about 230 B; the time, damage and route columns with interned routes
+    # cost about 26 B.
     cfg = StudyConfig(relay_count=4, packet_count=3000, run_count=1)
     run_simulation(small_config(relay_count=4), rng(0))  # warm lazy imports and caches
     gc.collect()

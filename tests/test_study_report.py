@@ -499,7 +499,7 @@ def test_default_study_golden_bundle(tmp_path, monkeypatch):
 # the 40-, 60- and 120-relay graphs are above it, so they pin the routes the
 # layered search picks. The 4-relay studies pin a graph with few links over
 # many runs, so many network builds, resets and perturbations. 16 relays
-# (18 nodes) is the largest graph that the list search serves.
+# (18 nodes) is the smallest graph that the layered search serves.
 _RELAYS_4 = {"relay_count": 4, "run_count": 20, "packet_count": 50}
 _RELAYS_16 = {"relay_count": 16, "run_count": 20, "packet_count": 50}
 _RELAYS_40 = {"relay_count": 40, "run_count": 2, "packet_count": 10}
