@@ -171,13 +171,16 @@ def perturb(
     as min_coord_km.  When sigma_frac * z overflows (sigma_frac near the
     float maximum), a value goes to +-inf and clamps, and a zero default,
     whose product is then NaN, comes back at its floor as it would at any
-    finite z; numpy's warnings for both are left to the caller.  Draw order
-    is fixed (qualities, then distances, each over the links in
-    upper-triangle order) to keep runs reproducible.  The
-    normals are drawn straight into the network's link block (see
-    _link_layout), scaled there in place, clamped by one fmax and one
-    minimum over the whole block against read-only bounds (see
-    _clamp_bounds), and written to both layers by one take, the diagonal
+    finite z.  normal overflows without a warning; the multiply by the
+    defaults warns for a finite factor that overflows there and for a NaN
+    product, and numpy's warnings are left to the caller.  Draw order is
+    fixed (qualities, then distances, each over the links in upper-triangle
+    order) to keep runs reproducible.  The defaults are gathered into the
+    network's link block (see _link_layout) and multiplied there by the
+    factors 1 + sigma_frac * z, which one normal(1.0, sigma_frac) call draws,
+    scales and shifts with the same two roundings.  The block is then
+    clamped by one fmax and one minimum against read-only bounds (see
+    _clamp_bounds) and written to both layers by one take, the diagonal
     included.  The block and the bounds are fetched, with the block's zero,
     on the first call after a build or a reset, and kept on the network
     until the next reset; so min_coord_km is read once per block, and a
@@ -193,12 +196,12 @@ def perturb(
         network._block = np.zeros(1 + 2 * m)  # [0] is the diagonal's zero
         jittered = network._jittered = network._block[1:]
         network._floor, network._ceiling = _clamp_bounds(m, network.min_coord_km)
-    # The same stream as standard_normal((2, m)): qualities, then distances.
-    rng.standard_normal(out=jittered)
-    # default * (1.0 + sigma_frac * z), one in-place IEEE step at a time.
-    jittered *= sigma_frac
-    jittered += 1.0
-    jittered *= network._defaults.take(network._gather)
+    # The defaults in block order; "raise" would buffer.
+    network._defaults.take(network._gather, out=jittered, mode="clip")
+    # normal reads the stream of standard_normal(2 * m), qualities then
+    # distances, and forms 1.0 + sigma_frac * z, rounding after the multiply
+    # and after the add (test_normal_draw_is_one_plus_scaled_standard_normal).
+    jittered *= rng.normal(1.0, sigma_frac, jittered.size)
     # fmax/minimum clamp like np.clip, with less overhead on small arrays;
     # fmax also sends NaN (a zero default times an overflowed inf) to the floor.
     np.fmax(jittered, network._floor, out=jittered)

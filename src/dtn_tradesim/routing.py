@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from collections import Counter
@@ -41,14 +40,16 @@ _QUALITY = ProtocolKind.QUALITY_DIJKSTRA
 # graph size, where the layered search starts to win per search.
 # Timed per search on a 2-vCPU VM (seed 1, 40 perturbed states per size,
 # every source, both cost kinds, dst = ground; alternating passes, 14 at
-# sigma 0.05 and 7 at sigma 0.6), the list search wins up to 14 relays
-# (8.9-9.5 against 10.7-11.9 us at 12, sigma 0.05) and at 15 relays is
-# even at sigma 0.05 but 4-17% faster at sigma 0.6.  From 16 relays the
-# layered search wins at both (by 0.5-4%, in 12 of 14 and 6 of 7 passes),
-# and by 6-18% at 17.  numpy's per-call overhead outweighs the list loop on
-# small graphs.  End to end, a 16-relay run_simulation is 5% faster with the
-# switch here than at 19 nodes at sigma 0.05 and 3% slower at sigma 0.6.
-# Both kernels pick the same hop.
+# sigma 0.05 and 7 at sigma 0.6), the list search wins every pass up to 14
+# relays (8.8-8.9 against 9.8-10.0 us at 12, sigma 0.05).  At 15 relays the
+# layered search wins at sigma 0.05 (11.1-11.3 against 12.4-12.6 us) but
+# loses at sigma 0.6 (15.9-16.3 against 15.4-15.8), so the two disagree
+# there.  From 16 relays it wins every pass at both, by 11% at sigma 0.05
+# and 6% at 0.6 (medians), and by 15-25% at 17.  numpy's per-call overhead
+# outweighs the list loop on small graphs.  End to end, 16-relay
+# run_simulation is 10% faster with the switch here than with the list
+# search at sigma 0.05 and 4% slower at sigma 0.6.  Both kernels pick the
+# same hop.
 LAYERED_MIN_NODES = 18
 
 
@@ -155,14 +156,6 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     return dst
 
 
-@functools.lru_cache(maxsize=8)
-def _node_ids(n: int) -> np.ndarray:
-    """Read-only arange(n), shared by every layered search on n nodes."""
-    ids = np.arange(n)
-    ids.setflags(write=False)
-    return ids
-
-
 def _cap(top: float, last: float) -> float:
     """A cost c <= top with c + last >= top in floating point.
 
@@ -209,6 +202,13 @@ def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int)
     less than that node's best, so the strict comparison never keeps it,
     and src's own entry is set aside only while the first frontier is
     picked.
+
+    Each layer is reduced before any argmin: one minimum over the gathered
+    rows gives every node's cheapest path in the layer, the value at the
+    position argmin would return.  dst's column gets its own argmin only
+    when dst improves, the search ends as soon as no node is kept, and the
+    predecessors of the kept nodes come from an argmin over their columns
+    alone.
     """
     costs = _search_costs(network, kind)
     into = costs[dst]
@@ -224,21 +224,24 @@ def _layered_next_hop(network: NetworkState, kind: CostKind, src: int, dst: int)
     cost = best[frontier]
     first = frontier  # first hop of each frontier path
     hop = dst
-    columns = _node_ids(network.node_count)
     while frontier.size:
         reach = costs.take(frontier, axis=0)
         reach += cost[:, None]
-        via = reach.argmin(axis=0)  # frontier position of each node's best predecessor
-        reach = reach[via, columns]
-        if reach[dst] < top:
-            top = float(reach[dst])
-            hop = first[via[dst]]
+        # each node's cheapest path in this layer; reach.min(axis=0) adds a
+        # Python-level wrapper call
+        low = np.minimum.reduce(reach)
+        if low[dst] < top:
+            top = float(low[dst])
+            hop = first[reach[:, dst].argmin()]
             np.minimum(best, _cap(top, last), out=best)
-        nodes = (reach < best).nonzero()[0]
-        via = via[nodes]
+        nodes = (low < best).nonzero()[0]
+        if not nodes.size:
+            break
+        # frontier position of each kept node's best predecessor
+        via = reach.take(nodes, axis=1).argmin(axis=0)
         order = via.argsort(kind="stable")  # nodes ascend, so ties keep node order
         frontier = nodes[order]
-        cost = best[frontier] = reach[frontier]
+        cost = best[frontier] = low[frontier]
         first = first[via[order]]
     return int(hop)
 

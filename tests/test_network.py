@@ -245,6 +245,28 @@ def test_perturb_draws_one_normal_block():
     assert r.bit_generator.state == twin.bit_generator.state
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.6, 1e300, 1.7e308])
+def test_normal_draw_is_one_plus_scaled_standard_normal(sigma):
+    # perturb draws its factors with normal(1.0, sigma, k) and relies on them
+    # equalling 1.0 + sigma * z from standard_normal(k), rounded after the
+    # multiply and after the add, with the stream ending in the same place.
+    fused, twin = rng(9), rng(9)
+    got = fused.normal(1.0, sigma, 1000)
+    with np.errstate(over="ignore"):  # sigma * z overflows at 1.7e308
+        want = 1.0 + sigma * twin.standard_normal(1000)
+    assert got.tobytes() == want.tobytes(), (
+        f"numpy {np.__version__}: normal(1.0, {sigma}, k) is not 1.0 + {sigma} * z "
+        "bit for bit; a build that fuses loc + scale * z into one multiply-add "
+        "rounds once, so perturbed values differ from those under numpy 2.4.6 "
+        "and the pinned perturb results need a re-pin under this numpy; this "
+        "does not show that the engine broke"
+    )
+    assert fused.bit_generator.state == twin.bit_generator.state, (
+        f"numpy {np.__version__}: normal(1.0, {sigma}, k) consumes another "
+        "stream than standard_normal(k), so perturb's draws differ from numpy 2.4.6's"
+    )
+
+
 def test_second_perturb_overwrites_the_first():
     # Each perturb overwrites the whole current state, so two perturbs in a
     # row must leave exactly the second draw, computed link by link.
