@@ -62,27 +62,25 @@ def place_nodes(config, rng: np.random.Generator) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _link_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _link_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only index arrays shared by every n-node network.
 
     links is the upper-triangle mask; selecting with it visits the links
     (a < b) in row-major order, the order in which link values are drawn.
     A link block is a flat array of 1 + 2 * link_count values: a zero for
     the diagonal, then every link's quality and then every link's distance,
-    each in draw order.  gather holds the flat position in a (2, n, n) stack
-    of each block value after the zero; slots maps every stack entry to its
-    position in the block, 0 on both diagonals.
+    each in draw order.  slots maps every entry of a (2, n, n) stack to its
+    position in the block, 0 on both diagonals, so one take writes a block
+    to both triangles of both layers.
     """
     links = np.triu(np.ones((n, n), dtype=bool), 1)
     rows, cols = links.nonzero()
-    gather = rows * n + cols
     slots = np.zeros((2, n, n), dtype=np.intp)
     in_block = np.arange(1, 2 * len(rows) + 1).reshape(2, -1)
     slots[:, rows, cols] = slots[:, cols, rows] = in_block
-    layout = (links, np.concatenate((gather, gather + n * n)), slots)
-    for array in layout:
+    for array in (links, slots):
         array.setflags(write=False)
-    return layout
+    return links, slots
 
 
 class NetworkState:
@@ -94,8 +92,9 @@ class NetworkState:
     the current quality of the link between a and b.  The diagonal holds no
     link and stays zero.  The default and the current values are each one
     (2, n, n) stack, quality layer then distance layer, and the four link
-    attributes are views of those layers.  perturb keeps its link block
-    (see _link_layout) and its clamp bounds (see _clamp_bounds) on the
+    attributes are views of those layers.  Every writer of the defaults
+    writes both triangles, and perturb reads both.  perturb keeps its link
+    block (see _link_layout) and its floor stack (see _clamp_floor) on the
     network between calls; reset releases both.
     """
 
@@ -108,17 +107,12 @@ class NetworkState:
         self.min_coord_km = min_coord_km
         self.node_count = n
         self.link_count = n * (n - 1) // 2
-        self.links, self._gather, self._slots = _link_layout(n)
+        self.links, self._slots = _link_layout(n)
         self._defaults = np.zeros((2, n, n))
         self._current = np.zeros((2, n, n))
         self.default_quality, self.default_distance = self._defaults
         self.current_quality, self.current_distance = self._current
-        self._block = self._jittered = self._floor = self._ceiling = None
-
-
-def _set_links(network: NetworkState, stack: np.ndarray, block: np.ndarray) -> None:
-    """Write a link block (see _link_layout) to a (2, n, n) stack."""
-    block.take(network._slots, out=stack, mode="clip")  # "raise" would buffer
+        self._block = self._floor = None
 
 
 def build_network(
@@ -142,21 +136,23 @@ def build_network(
         math.hypot(ax - bx, ay - by)
         for (ax, ay), (bx, by) in itertools.combinations(positions.tolist(), 2)
     ]
-    _set_links(network, network._defaults, block)
+    block.take(network._slots, out=network._defaults, mode="clip")  # "raise" would buffer
     return reset(network)
 
 
 @functools.lru_cache(maxsize=8)
-def _clamp_bounds(link_count: int, min_coord_km: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (floor, ceiling) of a link block after its zero.
+def _clamp_floor(n: int, min_coord_km: float) -> np.ndarray:
+    """Read-only (2, n, n) floor of perturbed link values.
 
-    Qualities lie in [0, 1] and distances in [min_coord_km, inf]: each bound
-    holds every link's quality bound, then every link's distance bound, in
-    the block's order.  A ceiling of inf leaves every distance as it is.
+    0 for qualities and min_coord_km for distances, with 0 on both
+    diagonals, which hold no link; every n-node network with this
+    min_coord_km shares one.
     """
-    bounds = np.repeat(((0.0, min_coord_km), (1.0, math.inf)), link_count, axis=1)
-    bounds.setflags(write=False)
-    return bounds[0], bounds[1]
+    floor = np.zeros((2, n, n))
+    floor[1] = min_coord_km
+    np.fill_diagonal(floor[1], 0.0)
+    floor.setflags(write=False)
+    return floor
 
 
 def perturb(
@@ -175,50 +171,48 @@ def perturb(
     defaults warns for a finite factor that overflows there and for a NaN
     product, and numpy's warnings are left to the caller.  Draw order is
     fixed (qualities, then distances, each over the links in upper-triangle
-    order) to keep runs reproducible.  The defaults are gathered into the
-    network's link block (see _link_layout) and multiplied there by the
-    factors 1 + sigma_frac * z, which one normal(1.0, sigma_frac) call draws,
-    scales and shifts with the same two roundings.  The block is then
-    clamped by one fmax and one minimum against read-only bounds (see
-    _clamp_bounds) and written to both layers by one take, the diagonal
-    included.  The block and the bounds are fetched, with the block's zero,
-    on the first call after a build or a reset, and kept on the network
-    until the next reset; so min_coord_km is read once per block, and a
-    change to it is followed after a reset.  The defaults are gathered anew
-    on every call, so writes into ``default_*`` made after the build are
-    followed without a reset.
+    order) to keep runs reproducible.  One normal(1.0, sigma_frac) call
+    draws the factors 1 + sigma_frac * z, with the same two roundings, into
+    the network's link block after its zero (see _link_layout).  One take
+    writes the block to the current (2, n, n) stack, both triangles and the
+    diagonal's zero included; there it is multiplied in place by the
+    defaults, raised to a read-only floor stack (see _clamp_floor) by one
+    fmax, and capped at 1 in its quality layer by one minimum.  The block and
+    the floor are fetched on the first call after a build or a reset and
+    kept on the network until the next reset; so min_coord_km is read once
+    per block, and a change to it is followed after a reset.  The defaults,
+    both triangles of them, are read anew on every call, so writes into
+    ``default_*`` made after the build are followed without a reset; every
+    writer sets a link at both (a, b) and (b, a).
     """
     if sigma_frac < 0:
         raise ConfigurationError(f"sigma_frac must be >= 0, got {sigma_frac}")
-    jittered = network._jittered
-    if jittered is None:
-        m = network.link_count
-        network._block = np.zeros(1 + 2 * m)  # [0] is the diagonal's zero
-        jittered = network._jittered = network._block[1:]
-        network._floor, network._ceiling = _clamp_bounds(m, network.min_coord_km)
-    # The defaults in block order; "raise" would buffer.
-    network._defaults.take(network._gather, out=jittered, mode="clip")
+    block = network._block
+    if block is None:
+        block = network._block = np.zeros(1 + 2 * network.link_count)  # [0]: diagonals
+        network._floor = _clamp_floor(network.node_count, network.min_coord_km)
     # normal reads the stream of standard_normal(2 * m), qualities then
     # distances, and forms 1.0 + sigma_frac * z, rounding after the multiply
     # and after the add (test_normal_draw_is_one_plus_scaled_standard_normal).
-    jittered *= rng.normal(1.0, sigma_frac, jittered.size)
+    block[1:] = rng.normal(1.0, sigma_frac, block.size - 1)
+    current = network._current
+    block.take(network._slots, out=current, mode="clip")  # "raise" would buffer
+    current *= network._defaults
     # fmax/minimum clamp like np.clip, with less overhead on small arrays;
     # fmax also sends NaN (a zero default times an overflowed inf) to the floor.
-    np.fmax(jittered, network._floor, out=jittered)
-    np.minimum(jittered, network._ceiling, out=jittered)
-    # _set_links's write, inlined: "raise" would buffer.
-    network._block.take(network._slots, out=network._current, mode="clip")
+    np.fmax(current, network._floor, out=current)
+    np.minimum(network.current_quality, 1.0, out=network.current_quality)
     return network
 
 
 def reset(network: NetworkState) -> NetworkState:
     """Restore current link state to the build-time defaults, in place.
 
-    Also releases perturb's link block and clamp bounds, so a reset network
+    Also releases perturb's link block and floor stack, so a reset network
     holds no scratch state and its next perturb reads min_coord_km anew.
     """
     np.copyto(network._current, network._defaults)
-    network._block = network._jittered = network._floor = network._ceiling = None
+    network._block = network._floor = None
     return network
 
 

@@ -93,10 +93,10 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     other, as a path through one adds a hop.  Costs are non-negative, so a
     settled label is final and each cost row is read once.  The cost rows
     are Python lists built from the current state in one conversion, with
-    the direct link set to inf in them (see _search_costs); on the two-node
-    network it is the only path, so dst is the hop.  When every unsettled
-    node costs inf (perturbed distances that overflowed), no finite path
-    reaches dst and dst is the hop, as in _layered_next_hop.
+    the direct link set to inf in them (see _search_costs).  When every
+    unsettled node costs inf, no finite path reaches dst and dst is the hop,
+    as in _layered_next_hop: so on the two-node network, whose only link is
+    the direct one, and when perturbed distances overflowed.
 
     The search stops early by an A* bound: last, the cheapest link into dst,
     is the minimum of dst's row off the diagonal (NetworkState's link
@@ -113,8 +113,6 @@ def _search(network: NetworkState, kind: CostKind, src: int, dst: int) -> int:
     direct label is inf.
     """
     n = network.node_count
-    if n == 2:
-        return dst
     inf = math.inf
     rows = _link_costs(network, kind).tolist()
     p, g = network.probe_id, network.ground_id

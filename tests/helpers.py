@@ -15,6 +15,7 @@ from dtn_tradesim.config import StudyConfig
 from dtn_tradesim.network import (
     GROUND_ID,
     PROBE_ID,
+    SPEED_OF_LIGHT_KM_S,
     CostKind,
     NetworkState,
     NodeKind,
@@ -22,6 +23,13 @@ from dtn_tradesim.network import (
     build_network,
     place_nodes,
     reset,
+)
+from dtn_tradesim.routing import PROTOCOL_COST_KIND, ProtocolKind
+from dtn_tradesim.simulation import (
+    PROTOCOL_ORDER,
+    SECONDS_PER_HOUR,
+    PacketRecord,
+    PacketState,
 )
 
 
@@ -141,6 +149,101 @@ def reference_dijkstra_path(
                 best[v] = candidate
                 heapq.heappush(heap, candidate)
     raise RuntimeError(f"no path from {src} to {dst}")
+
+
+def _reference_greedy_hop(network: NetworkState, current: int, dst: int) -> int:
+    """The bundle protocol's hop, candidate by candidate.
+
+    Candidates are the nodes strictly closer to dst than current by default
+    distance (dst itself at zero), without the probe's direct link to the
+    ground while relays exist; the best current quality wins, and a tie
+    keeps the lower node id.  No candidate sends the packet to dst.
+    """
+    def to_dst(v: int) -> float:
+        return 0.0 if v == dst else float(network.default_distance[v, dst])
+
+    hop, hop_quality = dst, None
+    for v in range(network.node_count):
+        if to_dst(v) >= to_dst(current):
+            continue
+        if current == network.probe_id and v == network.ground_id and network.node_count > 2:
+            continue
+        quality = float(network.current_quality[current, v])
+        if hop_quality is None or quality > hop_quality:
+            hop, hop_quality = v, quality
+    return hop
+
+
+def reference_packet(
+    network: NetworkState,
+    rng: np.random.Generator,
+    sigma_frac: float,
+    packet_index: int = 0,
+    step_budget: int | None = None,
+) -> tuple[list[PacketRecord], list[tuple[np.ndarray, np.ndarray]]]:
+    """One packet's three protocol copies, worked out link by link and hop by hop.
+
+    The reference for simulate_packet.  Each step draws one standard normal
+    per link, every quality first and then every distance, each over the
+    links a < b in row-major order, and sets the link to
+    default * (1.0 + sigma_frac * z), raised to its floor (0 for a quality,
+    min_coord_km for a distance; also when the product is NaN) and, for a
+    quality, capped at 1.  The values are written into network's current
+    state.  Then every copy still in flight, in PROTOCOL_ORDER, takes its
+    hop (the greedy loop above, or the second node of reference_dijkstra_path
+    under its protocol's cost kind), adds the hop's default distance over
+    the speed of light to its time, and draws one rng.random(); the copy is
+    damaged if the draw is not below the hop's current quality.
+
+    Returns the records, as simulate_packet does, and each step's perturbed
+    (quality, distance) matrices.  Running past step_budget steps raises
+    RuntimeError.
+    """
+    n = network.node_count
+    links = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    layers = [
+        (network.default_quality, network.current_quality, 0.0, 1.0),
+        (network.default_distance, network.current_distance, network.min_coord_km, math.inf),
+    ]
+    src, dst = network.probe_id, network.ground_id
+    routes = {p: [src] for p in PROTOCOL_ORDER}
+    seconds = {p: 0.0 for p in PROTOCOL_ORDER}
+    damaged = {p: False for p in PROTOCOL_ORDER}
+    steps = []
+    while any(route[-1] != dst for route in routes.values()):
+        if step_budget is not None and len(steps) >= step_budget:
+            raise RuntimeError(f"packet {packet_index}: step budget {step_budget} exceeded")
+        for default, current, floor, ceiling in layers:
+            for a, b in links:
+                value = float(default[a, b]) * (1.0 + sigma_frac * rng.standard_normal())
+                if math.isnan(value) or value < floor:
+                    value = floor
+                value = min(value, ceiling)
+                current[a, b] = current[b, a] = value
+        steps.append((network.current_quality.copy(), network.current_distance.copy()))
+        for p in PROTOCOL_ORDER:
+            u = routes[p][-1]
+            if u == dst:
+                continue
+            if p is ProtocolKind.BUNDLE:
+                v = _reference_greedy_hop(network, u, dst)
+            else:
+                v = reference_dijkstra_path(network, PROTOCOL_COST_KIND[p], u, dst)[1]
+            seconds[p] += float(network.default_distance[u, v]) / SPEED_OF_LIGHT_KM_S
+            if not rng.random() < float(network.current_quality[u, v]):
+                damaged[p] = True
+            routes[p].append(v)
+    records = [
+        PacketRecord(
+            packet_index,
+            p,
+            tuple(routes[p]),
+            seconds[p] / SECONDS_PER_HOUR,
+            PacketState.DAMAGED if damaged[p] else PacketState.INTACT,
+        )
+        for p in PROTOCOL_ORDER
+    ]
+    return records, steps
 
 
 def _reference_csv_cell(value: object) -> object:

@@ -204,18 +204,25 @@ def test_reset_restores_fresh_state():
 
 def test_perturb_keeps_one_block_until_reset():
     network = build_random_network(seed=8, relay_count=3)
+    n = network.node_count
     assert network._block is None and network._floor is None
     perturb(network, rng(1), 0.3)
-    block, floor, ceiling = network._block, network._floor, network._ceiling
-    assert block[0] == 0.0 and network._jittered.base is block
-    assert floor.shape == ceiling.shape == network._jittered.shape
-    assert floor.max() == network.min_coord_km and ceiling.min() == 1.0
+    block, floor = network._block, network._floor
+    assert block.shape == (1 + 2 * network.link_count,) and block[0] == 0.0
+    assert floor.shape == (2, n, n) and not floor.flags.writeable
+    assert not floor[:, range(n), range(n)].any()
+    assert floor.max() == network.min_coord_km
+    # One shared read-only floor per (n, min_coord_km).
+    twin = build_random_network(seed=9, relay_count=3)
+    perturb(twin, rng(1), 0.3)
+    assert twin._floor is floor and twin._block is not block
+    apart = build_random_network(seed=9, relay_count=3, min_coord_km=2.0e4)
+    perturb(apart, rng(1), 0.3)
+    assert apart._floor is not floor and apart._floor.max() == 2.0e4
     perturb(network, rng(2), 0.3)
-    assert network._block is block
-    assert network._floor is floor and network._ceiling is ceiling
+    assert network._block is block and network._floor is floor
     reset(network)
-    assert network._block is None and network._jittered is None
-    assert network._floor is None and network._ceiling is None
+    assert network._block is None and network._floor is None
 
 
 def test_perturb_clamps_each_network_to_its_own_floor():

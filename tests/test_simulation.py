@@ -31,7 +31,13 @@ from dtn_tradesim.simulation import (
     summarize_protocol_records,
 )
 
-from helpers import build_custom_network, build_random_network, rng, set_link
+from helpers import (
+    build_custom_network,
+    build_random_network,
+    reference_packet,
+    rng,
+    set_link,
+)
 
 STRAIGHT_LINE_HOURS = 1.27e9 / SPEED_OF_LIGHT_KM_S / 3600.0
 
@@ -171,6 +177,54 @@ def test_copies_share_one_state_sequence(monkeypatch):
             np.copyto(network.current_quality, quality)
             np.copyto(network.current_distance, distance)
             assert next_hop(network, record.protocol, u, network.ground_id) == v
+
+
+REFERENCE_CASES = [
+    pytest.param(relays, sigma, 3.0, id=f"{relays}_relays_sigma_{sigma}")
+    for relays in (1, 2, 4, 10, 16)
+    for sigma in (0.0, 0.05, 0.6, 1.7e308)
+] + [
+    pytest.param(relays, sigma, 1e-300, id=f"{relays}_relays_sigma_{sigma}_beta_a_1e-300")
+    for relays in (4, 16)
+    for sigma in (0.6, 1.7e308)
+]
+
+
+@pytest.mark.parametrize("relays, sigma, beta_a", REFERENCE_CASES)
+def test_engine_matches_one_packet_reference(monkeypatch, relays, sigma, beta_a):
+    # run_simulation against reference_packet, packet by packet from one
+    # stream: the records must match byte for byte, and every step's
+    # perturbed links value for value (np.array_equal, so a zero quality's
+    # sign, which no comparison, cost or draw can see, does not count).
+    # At 16 relays the Dijkstra hops come from the layered search.  No
+    # bundle digest pins the perturbed values themselves.
+    cfg = StudyConfig(
+        relay_count=relays, sigma_frac=sigma, beta_a=beta_a, packet_count=5, run_count=1
+    )
+    engine_steps = []
+    real_perturb = simulation.perturb
+
+    def recording_perturb(net, r, sigma_frac):
+        out = real_perturb(net, r, sigma_frac)
+        engine_steps.append((net.current_quality.copy(), net.current_distance.copy()))
+        return out
+
+    monkeypatch.setattr(simulation, "perturb", recording_perturb)
+    got = run_simulation(cfg, rng(17)).records
+
+    r = rng(17)
+    network = build_network(place_nodes(cfg, r), r, cfg)
+    budget = cfg.step_budget_factor * network.node_count
+    want, reference_steps = [], []
+    for k in range(cfg.packet_count):
+        records, steps = reference_packet(network, r, sigma, k, step_budget=budget)
+        want.extend(records)
+        reference_steps.extend(steps)
+    assert len(engine_steps) == len(reference_steps)
+    for step, (engine, reference) in enumerate(zip(engine_steps, reference_steps)):
+        for layer, a, b in zip(("quality", "distance"), engine, reference):
+            assert np.array_equal(a, b), f"step {step}: {layer} differs"
+    assert repr(got) == repr(want)
 
 
 def test_step_loop_calls_each_layer_through_module_globals(monkeypatch):
@@ -353,8 +407,7 @@ def test_run_simulation_returns_network_at_defaults_without_scratch_block():
     network = result.network
     assert np.array_equal(network.current_quality, network.default_quality)
     assert np.array_equal(network.current_distance, network.default_distance)
-    assert network._block is None and network._jittered is None
-    assert network._floor is None and network._ceiling is None
+    assert network._block is None and network._floor is None
 
 
 def test_run_result_holds_columns_not_records():
