@@ -67,16 +67,17 @@ def _link_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     links is the upper-triangle mask; selecting with it visits the links
     (a < b) in row-major order, the order in which link values are drawn.
-    A link block is a flat array of 1 + 2 * link_count values: a zero for
-    the diagonal, then every link's quality and then every link's distance,
-    each in draw order.  slots maps every entry of a (2, n, n) stack to its
-    position in the block, 0 on both diagonals, so one take writes a block
-    to both triangles of both layers.
+    A link block is a flat array of 2 * link_count values: every link's
+    quality and then every link's distance, each in draw order.  slots maps
+    every entry of a (2, n, n) stack to its position in the block, so one
+    take writes a block to both triangles of both layers.  Both diagonals
+    hold no link and map to position 0; a take writes the first link's
+    value there, which its callers zero or multiply by a zero default.
     """
     links = np.triu(np.ones((n, n), dtype=bool), 1)
     rows, cols = links.nonzero()
     slots = np.zeros((2, n, n), dtype=np.intp)
-    in_block = np.arange(1, 2 * len(rows) + 1).reshape(2, -1)
+    in_block = np.arange(2 * len(rows)).reshape(2, -1)
     slots[:, rows, cols] = slots[:, cols, rows] = in_block
     for array in (links, slots):
         array.setflags(write=False)
@@ -90,12 +91,13 @@ class NetworkState:
     station always hold ids PROBE_ID and GROUND_ID.  Link attributes are
     symmetric n x n arrays indexed by node id: ``current_quality[a, b]`` is
     the current quality of the link between a and b.  The diagonal holds no
-    link and stays zero.  The default and the current values are each one
-    (2, n, n) stack, quality layer then distance layer, and the four link
-    attributes are views of those layers.  Every writer of the defaults
-    writes both triangles, and perturb reads both.  perturb keeps its link
-    block (see _link_layout) and its floor stack (see _clamp_floor) on the
-    network between calls; reset releases both.
+    link: it is +0.0 in the defaults and reads 0 in the current state.  The
+    default and the current values are each one (2, n, n) stack, quality
+    layer then distance layer, and the four link attributes are views of
+    those layers.  Every writer of the defaults writes both triangles, and
+    perturb reads both.  The read-only floor stack of perturb (see
+    _clamp_floor) is fetched when the network is built, so min_coord_km is
+    read once, there; nothing writes it afterwards.
     """
 
     probe_id = PROBE_ID
@@ -108,11 +110,11 @@ class NetworkState:
         self.node_count = n
         self.link_count = n * (n - 1) // 2
         self.links, self._slots = _link_layout(n)
+        self._floor = _clamp_floor(n, min_coord_km)
         self._defaults = np.zeros((2, n, n))
         self._current = np.zeros((2, n, n))
         self.default_quality, self.default_distance = self._defaults
         self.current_quality, self.current_distance = self._current
-        self._block = self._floor = None
 
 
 def build_network(
@@ -129,14 +131,16 @@ def build_network(
         raise ConfigurationError(f"need at least 2 nodes, got {n}")
     network = NetworkState(positions, config.min_coord_km)
     m = network.link_count
-    block = np.zeros(1 + 2 * m)
-    block[1 : m + 1] = rng.beta(config.beta_a, config.beta_b, size=m)
+    block = np.empty(2 * m)
+    block[:m] = rng.beta(config.beta_a, config.beta_b, size=m)
     # math.hypot per pair, in draw order; np.hypot may differ in the last bit.
-    block[m + 1 :] = [
+    block[m:] = [
         math.hypot(ax - bx, ay - by)
         for (ax, ay), (bx, by) in itertools.combinations(positions.tolist(), 2)
     ]
-    block.take(network._slots, out=network._defaults, mode="clip")  # "raise" would buffer
+    defaults = network._defaults
+    block.take(network._slots, out=defaults, mode="clip")  # "raise" would buffer
+    defaults[:, range(n), range(n)] = 0.0  # the take wrote the first link there
     return reset(network)
 
 
@@ -172,31 +176,26 @@ def perturb(
     product, and numpy's warnings are left to the caller.  Draw order is
     fixed (qualities, then distances, each over the links in upper-triangle
     order) to keep runs reproducible.  One normal(1.0, sigma_frac) call
-    draws the factors 1 + sigma_frac * z, with the same two roundings, into
-    the network's link block after its zero (see _link_layout).  One take
-    writes the block to the current (2, n, n) stack, both triangles and the
-    diagonal's zero included; there it is multiplied in place by the
-    defaults, raised to a read-only floor stack (see _clamp_floor) by one
-    fmax, and capped at 1 in its quality layer by one minimum.  The block and
-    the floor are fetched on the first call after a build or a reset and
-    kept on the network until the next reset; so min_coord_km is read once
-    per block, and a change to it is followed after a reset.  The defaults,
-    both triangles of them, are read anew on every call, so writes into
-    ``default_*`` made after the build are followed without a reset; every
-    writer sets a link at both (a, b) and (b, a).
+    draws the link block of factors 1 + sigma_frac * z, with the same two
+    roundings, and one take writes it straight to the current (2, n, n)
+    stack, both triangles and the diagonals (see _link_layout).  There it
+    is multiplied in place by the defaults, raised to the network's
+    read-only floor stack (see _clamp_floor) by one fmax, and capped at 1
+    in its quality layer by one minimum.  A diagonal's factor meets a zero
+    default, so it comes back as +-0, or as NaN that fmax sends to its
+    floor 0.  The defaults, both triangles of them, are read anew on every
+    call, so writes into ``default_*`` made after the build are followed
+    without a reset; every writer sets a link at both (a, b) and (b, a).
     """
     if sigma_frac < 0:
         raise ConfigurationError(f"sigma_frac must be >= 0, got {sigma_frac}")
-    block = network._block
-    if block is None:
-        block = network._block = np.zeros(1 + 2 * network.link_count)  # [0]: diagonals
-        network._floor = _clamp_floor(network.node_count, network.min_coord_km)
+    current = network._current
     # normal reads the stream of standard_normal(2 * m), qualities then
     # distances, and forms 1.0 + sigma_frac * z, rounding after the multiply
     # and after the add (test_normal_draw_is_one_plus_scaled_standard_normal).
-    block[1:] = rng.normal(1.0, sigma_frac, block.size - 1)
-    current = network._current
-    block.take(network._slots, out=current, mode="clip")  # "raise" would buffer
+    rng.normal(1.0, sigma_frac, 2 * network.link_count).take(
+        network._slots, out=current, mode="clip"  # "raise" would buffer
+    )
     current *= network._defaults
     # fmax/minimum clamp like np.clip, with less overhead on small arrays;
     # fmax also sends NaN (a zero default times an overflowed inf) to the floor.
@@ -206,13 +205,8 @@ def perturb(
 
 
 def reset(network: NetworkState) -> NetworkState:
-    """Restore current link state to the build-time defaults, in place.
-
-    Also releases perturb's link block and floor stack, so a reset network
-    holds no scratch state and its next perturb reads min_coord_km anew.
-    """
+    """Restore current link state, both layers, to the build-time defaults, in place."""
     np.copyto(network._current, network._defaults)
-    network._block = network._floor = None
     return network
 
 

@@ -9,13 +9,11 @@ timestamps.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
-import json
 import math
 import os
 import re
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import fields
 from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -39,24 +37,18 @@ _CHUNK_ROWS = 2000
 # Float repr text that JSON spells differently (NaN is written as null).
 _JSON_FLOATS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
-# A str cell holding one of these is quoted by csv.writer.
+# Bool text, the same in CSV and JSON.
+_BOOL_TEXT = {False: "false", True: "true"}
+
+# A str cell holding one of these would need CSV quoting.
 _CSV_QUOTED = re.compile('[,"\r\n]')
 
 
-def _csv_cell(value: object) -> object:
-    """CSV cell rendering: floats via shortest round-trip repr, bools lowercase."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return float.__repr__(value)
-    return value
-
-
-def _json_cell(value: object) -> str:
-    """JSON cell rendering: json.dumps, with NaN written as null."""
-    if isinstance(value, float) and math.isnan(value):
-        return "null"
-    return json.dumps(value)
+def _check_text(distinct: Collection[str]) -> None:
+    """Raise ValueError unless every string is non-empty and needs no CSV quoting."""
+    if "" in distinct or _CSV_QUOTED.search("".join(distinct)):
+        bad = next(s for s in distinct if not s or _CSV_QUOTED.search(s))
+        raise ValueError(f"table text {bad!r} is empty or holds a character CSV quotes")
 
 
 def _column_type(cells: tuple) -> type | None:
@@ -65,34 +57,36 @@ def _column_type(cells: tuple) -> type | None:
     return kinds.pop() if len(kinds) == 1 else None
 
 
-def _encode_column(cells: tuple, want_csv: bool, want_json: bool):
-    """(CSV text, JSON text) of one column's cells, each a list or None.
+def _encode_column(cells: tuple, want_json: bool):
+    """(CSV text, JSON text) of one column's cells; the JSON text is None if not wanted.
 
-    A float or int column is turned into text once and both formats share
-    it; an int or str column is encoded once per distinct value.  The CSV
-    text is None where csv.writer must write the cells: a column that is
-    mixed or of another type (bool, None, numpy float), or strings that csv
-    quotes.  The JSON text is None only when it is not wanted.
+    Every cell of a column has one of four types.  A float is written as
+    its repr, with NaN and +-inf respelled for JSON, and the two formats
+    share the rest.  An int is its repr and a bool is true/false, the same
+    text in both formats, encoded once per distinct value.  A str must pass
+    _check_text; CSV writes it as is and JSON escapes it to ASCII, once per
+    distinct value.  Any other column (mixed, None, numpy scalars) raises
+    TypeError.
     """
     kind = _column_type(cells)
-    csv_text = json_text = None
     if kind is float:
         csv_text = list(map(float.__repr__, cells))
-        if want_json:
-            json_text = list(map(_JSON_FLOATS.get, csv_text, csv_text))
-    elif kind is int:  # ids, mostly: few distinct values per chunk
-        text = {v: int.__repr__(v) for v in set(cells)}
-        csv_text = json_text = list(map(text.__getitem__, cells))
-    elif kind is str:
+        return csv_text, list(map(_JSON_FLOATS.get, csv_text, csv_text)) if want_json else None
+    if kind is str:
         distinct = set(cells)
-        if want_csv and not _CSV_QUOTED.search("".join(distinct)):
-            csv_text = cells
-        if want_json:
-            text = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
-            json_text = list(map(text.__getitem__, cells))
-    elif want_json:
-        json_text = list(map(_json_cell, cells))
-    return csv_text, json_text
+        _check_text(distinct)
+        if not want_json:
+            return cells, None
+        text = dict(zip(distinct, map(encode_basestring_ascii, distinct)))
+        return cells, list(map(text.__getitem__, cells))
+    if kind is int:  # ids, mostly: few distinct values per chunk
+        text = {v: int.__repr__(v) for v in set(cells)}
+    elif kind is bool:
+        text = _BOOL_TEXT
+    else:
+        raise TypeError(f"table column of {getattr(kind, '__name__', 'mixed')} cells")
+    csv_text = list(map(text.__getitem__, cells))
+    return csv_text, csv_text
 
 
 def _lay_out(layout: list, texts: list) -> list[str]:
@@ -114,25 +108,25 @@ def _write_table(
 ) -> list[str]:
     """Write one logical table as CSV, JSON, or both; returns file names.
 
-    The bytes are those of csv.writer over _csv_cell of each cell, and of
-    json.dump(indent=2) over one object per row with NaN as null.  rows is
-    consumed once, _CHUNK_ROWS at a time, so of a table built lazily only one
-    chunk is held.  Each chunk is transposed and encoded column by column
-    (_encode_column), so a float or int cell is turned into text once for
-    both formats; each file's chunk is then its rows laid out between
-    constant separators and written with one join.  csv.writer writes a
-    chunk only where the CSV text is not that simple: a column that is mixed
-    or holds bools, None or numpy floats, a string that csv quotes, or an
-    empty string in a one-column table, which csv writes as "".
+    The bytes are those of csv.writer over each row (floats as repr, bools
+    as true/false), which quotes no cell here, and of json.dump(indent=2)
+    over one object per row with NaN as null.  Column names must pass
+    _check_text, and each column the type rules of _encode_column; a table
+    that breaks them raises before its chunk is written.  rows is consumed
+    once, _CHUNK_ROWS at a time, so of a table built lazily only one chunk
+    is held.  Each chunk is transposed and encoded column by column, so a
+    float or int cell is turned into text once for both formats; each
+    file's chunk is then its rows laid out between constant separators and
+    written with one join.
     """
+    _check_text(columns)
     want_csv, want_json = fmt in ("csv", "both"), fmt in ("json", "both")
     written = [f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
     with contextlib.ExitStack() as stack:
         if want_csv:
             path = os.path.join(out_dir, f"{name}.csv")
             csv_fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-            writer = csv.writer(csv_fh, lineterminator="\n")
-            writer.writerow(columns)
+            csv_fh.write(",".join(columns) + "\n")
             csv_layout = [None, ","] * (len(columns) - 1) + [None, "\n"]
         if want_json:
             path = os.path.join(out_dir, f"{name}.json")
@@ -147,13 +141,10 @@ def _write_table(
         rows = iter(rows)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             csv_texts, json_texts = zip(
-                *(_encode_column(cells, want_csv, want_json) for cells in zip(*chunk))
+                *(_encode_column(cells, want_json) for cells in zip(*chunk))
             )
             if want_csv:
-                if None not in csv_texts and not (len(columns) == 1 and "" in csv_texts[0]):
-                    csv_fh.write("".join(_lay_out(csv_layout, csv_texts)))
-                else:
-                    writer.writerows(map(_csv_cell, row) for row in chunk)
+                csv_fh.write("".join(_lay_out(csv_layout, csv_texts)))
             if want_json:
                 flat = _lay_out(json_layout, json_texts)
                 if first:
@@ -170,7 +161,7 @@ def _packet_rows(report: StudyReport) -> Table:
     """Every copy of every packet, built from each run's outcome columns.
 
     Rows go packet by packet and, within a packet, in PROTOCOL_ORDER, as
-    RunResult.outcomes gives them.
+    RunResult.records gives them.
     """
     columns = ["run", "packet", "protocol", "state", "transmission_time_hr", "route"]
     text = functools.cache(route_text)  # each distinct route rendered once

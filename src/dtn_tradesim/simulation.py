@@ -93,26 +93,21 @@ class RunResult:
     routes: list[list[Route]]  # routes[j][k]: protocol j's route for packet k
     summaries: dict[ProtocolKind, RunSummary]
 
-    def outcomes(self):
-        """(packet, protocol, time_hr, damaged, route) of each copy, packet by packet.
+    @property
+    def records(self) -> list[PacketRecord]:
+        """Every copy as a PacketRecord, built anew on each access.
 
-        Within a packet the copies follow PROTOCOL_ORDER; values are Python
-        floats and bools.
+        Packet by packet and, within a packet, in PROTOCOL_ORDER; times are
+        Python floats.
         """
         per_protocol = [
             zip(t, d, r)
             for t, d, r in zip(self.times_hr.tolist(), self.damaged.tolist(), self.routes)
         ]
-        for k, copies in enumerate(zip(*per_protocol)):
-            for p, (t, d, route) in zip(PROTOCOL_ORDER, copies):
-                yield k, p, t, d, route
-
-    @property
-    def records(self) -> list[PacketRecord]:
-        """The outcomes as PacketRecords, built anew on each access."""
         return [
             PacketRecord(k, p, route, t, _DAMAGED if d else _INTACT)
-            for k, p, t, d, route in self.outcomes()
+            for k, copies in enumerate(zip(*per_protocol))
+            for p, (t, d, route) in zip(PROTOCOL_ORDER, copies)
         ]
 
 

@@ -202,33 +202,44 @@ def test_reset_restores_fresh_state():
     assert np.array_equal(network.current_quality, fresh_q)
 
 
-def test_perturb_keeps_one_block_until_reset():
+def test_perturb_floor_is_set_at_build_and_reset_restores_both_layers():
     network = build_random_network(seed=8, relay_count=3)
-    n = network.node_count
-    assert network._block is None and network._floor is None
-    perturb(network, rng(1), 0.3)
-    block, floor = network._block, network._floor
-    assert block.shape == (1 + 2 * network.link_count,) and block[0] == 0.0
+    n, floor = network.node_count, network._floor
     assert floor.shape == (2, n, n) and not floor.flags.writeable
-    assert not floor[:, range(n), range(n)].any()
-    assert floor.max() == network.min_coord_km
+    assert not floor[0].any() and not floor[:, range(n), range(n)].any()
+    assert (floor[1][network.links] == network.min_coord_km).all()
     # One shared read-only floor per (n, min_coord_km).
-    twin = build_random_network(seed=9, relay_count=3)
-    perturb(twin, rng(1), 0.3)
-    assert twin._floor is floor and twin._block is not block
+    assert build_random_network(seed=9, relay_count=3)._floor is floor
     apart = build_random_network(seed=9, relay_count=3, min_coord_km=2.0e4)
-    perturb(apart, rng(1), 0.3)
     assert apart._floor is not floor and apart._floor.max() == 2.0e4
     perturb(network, rng(2), 0.3)
-    assert network._block is block and network._floor is floor
+    assert network._current.tobytes() != network._defaults.tobytes()
     reset(network)
-    assert network._block is None and network._floor is None
+    assert network._current.tobytes() == network._defaults.tobytes()
+    # perturb keeps no scratch block on the network.
+    assert network._floor is floor and not hasattr(network, "_block")
+
+
+@pytest.mark.parametrize("sigma", [0.6, 1.7e308])
+def test_perturb_leaves_both_diagonals_zero(sigma):
+    # The diagonals' slots point at the first link's factor, which meets a
+    # zero default: the product is +-0, or NaN when the factor overflowed,
+    # and the floor's zero diagonal must bring NaN back to 0.
+    network = build_random_network(seed=8, relay_count=5)
+    diagonal = (slice(None), *np.diag_indices(network.node_count))
+    defaults = network._defaults[diagonal]
+    assert defaults.tobytes() == bytes(defaults.nbytes)  # +0.0 exactly: every byte zero
+    r = rng(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(20):
+            perturb(network, r, sigma)
+            assert (network._current[diagonal] == 0.0).all()
 
 
 def test_perturb_clamps_each_network_to_its_own_floor():
-    # perturb holds its clamp bounds from its first call after a build or a
-    # reset.  Two networks of one size with different floors, perturbed in
-    # turn, must each keep clamping to their own min_coord_km.  At sigma 3
+    # Each network holds the floor of its own min_coord_km from its build.
+    # Two networks of one size with different floors, perturbed in turn, must
+    # each keep clamping to their own min_coord_km.  At sigma 3
     # about a third of the draws send a distance below zero, so every step
     # clamps some link to the floor.
     sigma = 3.0

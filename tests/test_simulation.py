@@ -402,12 +402,10 @@ def test_run_simulation_resets_between_packets():
         assert result.routes[j] == [r.route for r in replayed]
 
 
-def test_run_simulation_returns_network_at_defaults_without_scratch_block():
+def test_run_simulation_returns_network_at_defaults():
     result = run_simulation(small_config(packet_count=3), rng(4))
     network = result.network
-    assert np.array_equal(network.current_quality, network.default_quality)
-    assert np.array_equal(network.current_distance, network.default_distance)
-    assert network._block is None and network._floor is None
+    assert network._current.tobytes() == network._defaults.tobytes()
 
 
 def test_run_result_holds_columns_not_records():

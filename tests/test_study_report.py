@@ -280,42 +280,37 @@ def test_different_seed_changes_packets(tmp_path):
 
 
 def adversarial_tables():
-    """name -> (columns, rows) covering every encoder path of the table writer."""
+    """name -> (columns, rows) covering each cell type and chunk edge of the writer."""
     inf = math.inf
     floats = [math.nan, inf, -inf, -0.0, 0.0, 1e-300, 5e-324, 0.1, 1e22, -2.5]
-    texts = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "caf\u00e9 \U0001f600", ""]
+    texts = ["plain", "0-4-1", "caf\u00e9 \U0001f600", "tab\there", "back\\slash", "\u00fcber"]
     tables = {
-        "floats": (
-            ["pure", "with_numpy", "numpy_only"],
-            [(v, np.float64(v) if k % 2 else v, np.float64(v)) for k, v in enumerate(floats)],
-        ),
+        "floats": (["value", "negated"], [(v, -v) for v in floats]),
         "mixed": (
-            ["flag", "maybe", "int_or_float", "big_int", "flag_or_none"],
+            ["run", "big_int", "flag", "value", "route"],
             [
-                (True, None, 1, 2**70, None),
-                (False, None, 2.5, -(2**70), True),
-                (True, None, -3, 0, False),
-                (False, None, math.nan, -1, None),
+                (0, 2**70, True, math.nan, "0-1"),
+                (1, -(2**70), False, 2.5, "0-2-1"),
+                (2, 2**64, True, -inf, "0-1"),
+                (3, 0, False, 1e22, "caf\u00e9"),
             ],
         ),
-        "flags": (["flag", "value"], [(True, 1), (False, 2.5), (True, "x")]),
+        "flags": (
+            ["flag", "all_true", "all_false"], [(k % 3 == 0, True, False) for k in range(5)]
+        ),
         "text": (
-            ["text", "share %", 'quoted "key"', "\u00fcber"],
+            ["text", "share %", "\u00fcber", "caf\u00e9 \U0001f600"],
             [(t, t, len(t), t.upper()) for t in texts],
         ),
-        "single_column": (["only"], [("",), ("a",), ("",)]),
+        "single_column": (["only"], [("a",), ("b",), ("a",)]),
         "empty": (["run", "value"], []),
     }
     for count in (_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1):
-        rows = [(k, k * 0.1 if k % 7 else math.nan, f"0-{k % 5}-1") for k in range(count)]
-        tables[f"rows_{count}"] = (["k", "value", "route"], rows)
-    # Only the middle chunk holds a string that csv quotes, so only it may
-    # go to csv.writer; the chunks on either side take the joined text.
-    rows = [
-        (k, "a,b" if k == _CHUNK_ROWS + 7 else f"0-{k % 5}-1")
-        for k in range(2 * _CHUNK_ROWS + 1)
-    ]
-    tables["comma_in_middle_chunk"] = (["k", "route"], rows)
+        rows = [
+            (k, k * 0.1 if k % 7 else math.nan, f"0-{k % 5}-1", k % 3 == 0)
+            for k in range(count)
+        ]
+        tables[f"rows_{count}"] = (["k", "value", "route", "flag"], rows)
     return tables
 
 
@@ -359,12 +354,34 @@ def test_write_table_matches_stdlib_reference(tmp_path, monkeypatch, name):
         assert (alone / file).read_bytes() == (reference / file).read_bytes(), file
 
 
-def test_csv_writes_numpy_floats_as_plain_floats(tmp_path):
-    # repr of a numpy float is "np.float64(0.1)" under numpy 2; a mixed column
-    # renders cell by cell and must still write the float's own text.
-    rows = [(np.float64(0.1), 1), (np.float64(math.nan), 2.5)]
-    _write_table(str(tmp_path), "t", ["x", "y"], rows, "csv")
-    assert (tmp_path / "t.csv").read_text() == "x,y\n0.1,1\nnan,2.5\n"
+def rejected_tables():
+    """name -> (error, columns, rows) of a table with one column or name it must refuse."""
+    chunks = 2 * _CHUNK_ROWS + 1
+    return {
+        "mixed": (TypeError, ["x"], [(1,), (2.5,)]),
+        "none": (TypeError, ["x"], [(None,), (None,)]),
+        "numpy_float": (TypeError, ["x", "y"], [(np.float64(0.1), 1), (np.float64(0.2), 2)]),
+        "comma": (ValueError, ["x"], [("a,b",)]),
+        "quote": (ValueError, ["x"], [('say "hi"',)]),
+        "newline": (ValueError, ["x"], [("two\nlines",)]),
+        "carriage_return": (ValueError, ["x"], [("cr\rhere",)]),
+        "empty_string": (ValueError, ["x"], [("a",), ("",)]),
+        "comma_in_column_name": (ValueError, ["x,y"], [(1,)]),
+        # Every chunk is checked, not only the first.
+        "comma_in_middle_chunk": (
+            ValueError,
+            ["k", "route"],
+            [(k, "a,b" if k == _CHUNK_ROWS + 7 else f"0-{k % 5}-1") for k in range(chunks)],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(rejected_tables()))
+def test_write_table_rejects_cells_it_cannot_write_plainly(tmp_path, name):
+    error, columns, rows = rejected_tables()[name]
+    for fmt in ("csv", "json", "both"):
+        with pytest.raises(error):
+            _write_table(str(tmp_path), name, columns, rows, fmt)
 
 
 def run_slices(ext, data):
