@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
-from .routing import ProtocolKind
 
 FORMATS = ("csv", "json", "both")
 
@@ -51,8 +50,6 @@ class StudyConfig:
     min_coord_km: float = 1.0e4
     out_dir: str = "report"
     format: str = "csv"
-    baseline: ProtocolKind = ProtocolKind.BUNDLE
-    step_budget_factor: int = 10
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -78,10 +75,6 @@ class StudyConfig:
         if self.format not in FORMATS:
             raise ConfigurationError(
                 f"format must be one of {', '.join(FORMATS)}, got {self.format!r}"
-            )
-        if self.step_budget_factor < 1:
-            raise ConfigurationError(
-                f"step_budget_factor must be >= 1, got {_shown(self.step_budget_factor)}"
             )
         if self.relay_count < 1:
             raise ConfigurationError(f"relay_count must be >= 1, got {_shown(self.relay_count)}")
@@ -158,9 +151,7 @@ def config_lines(config: StudyConfig) -> list[str]:
     out = []
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, ProtocolKind):
-            value = value.value
-        elif type(f.default) is float:
+        if type(f.default) is float:
             value = float(value)
         out.append(f"{f.name}={value}")
     return out

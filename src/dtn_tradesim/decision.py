@@ -102,10 +102,13 @@ def build_table(
     return DecisionTable(rows=tuple(rows), weights=weights)
 
 
-def practicality_correction(table: DecisionTable, baseline: ProtocolKind) -> DecisionTable:
+def practicality_correction(
+    table: DecisionTable, baseline: ProtocolKind = ProtocolKind.BUNDLE
+) -> DecisionTable:
     """Zero the speed credit of protocols less reliable than the baseline.
 
-    A protocol whose percent-error mean is worse than the baseline's loses
+    The baseline is the incumbent bundle protocol unless one is given.  A
+    protocol whose percent-error mean is worse than the baseline's loses
     its transmission-time value (set to 0) and has its score recomputed;
     the baseline itself and anything at least as reliable stay untouched.
     """

@@ -57,10 +57,10 @@ def _column_type(cells: tuple) -> type | None:
     return kinds.pop() if len(kinds) == 1 else None
 
 
-def _encode_column(cells: tuple, want_json: bool):
+def _encode_column(cells: tuple, kind: type | None, want_json: bool):
     """(CSV text, JSON text) of one column's cells; the JSON text is None if not wanted.
 
-    Every cell of a column has one of four types.  A float is written as
+    kind is _column_type(cells), one of four types.  A float is written as
     its repr, with NaN and +-inf respelled for JSON, and the two formats
     share the rest.  An int is its repr and a bool is true/false, the same
     text in both formats, encoded once per distinct value.  A str must pass
@@ -68,7 +68,6 @@ def _encode_column(cells: tuple, want_json: bool):
     distinct value.  Any other column (mixed, None, numpy scalars) raises
     TypeError.
     """
-    kind = _column_type(cells)
     if kind is float:
         csv_text = list(map(float.__repr__, cells))
         return csv_text, list(map(_JSON_FLOATS.get, csv_text, csv_text)) if want_json else None
@@ -111,10 +110,11 @@ def _write_table(
     The bytes are those of csv.writer over each row (floats as repr, bools
     as true/false), which quotes no cell here, and of json.dump(indent=2)
     over one object per row with NaN as null.  Column names must pass
-    _check_text, and each column the type rules of _encode_column; a table
-    that breaks them raises before its chunk is written.  rows is consumed
-    once, _CHUNK_ROWS at a time, so of a table built lazily only one chunk
-    is held.  Each chunk is transposed and encoded column by column, so a
+    _check_text, and each column the type rules of _encode_column, with
+    one cell type for the whole table; a table that breaks them, or fails
+    to be written, raises, and the files it opened are removed first.  rows
+    is consumed once, _CHUNK_ROWS at a time, so of a table built lazily
+    only one chunk is held.  Each chunk is transposed and encoded column by column, so a
     float or int cell is turned into text once for both formats; each
     file's chunk is then its rows laid out between constant separators and
     written with one join.
@@ -122,38 +122,46 @@ def _write_table(
     _check_text(columns)
     want_csv, want_json = fmt in ("csv", "both"), fmt in ("json", "both")
     written = [f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
-    with contextlib.ExitStack() as stack:
+    # cleanup removes the files opened so far unless the table is written whole.
+    # It exits after stack, so each file is closed before it is removed.
+    with contextlib.ExitStack() as cleanup, contextlib.ExitStack() as stack:
         if want_csv:
             path = os.path.join(out_dir, f"{name}.csv")
             csv_fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+            cleanup.callback(os.remove, path)
             csv_fh.write(",".join(columns) + "\n")
             csv_layout = [None, ","] * (len(columns) - 1) + [None, "\n"]
         if want_json:
             path = os.path.join(out_dir, f"{name}.json")
             json_fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+            cleanup.callback(os.remove, path)
             keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
             # Each row begins with the separator from the row before it.
             json_layout = [",\n  {\n" + keys[0]]
             for key in keys[1:]:
                 json_layout += [None, ",\n" + key]
             json_layout += [None, "\n  }"]
-        first = True
+        table_kinds = None  # each column's cell type, fixed by the first chunk
         rows = iter(rows)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
-            csv_texts, json_texts = zip(
-                *(_encode_column(cells, want_json) for cells in zip(*chunk))
-            )
+            cells = list(zip(*chunk))
+            kinds = list(map(_column_type, cells))
+            if table_kinds not in (None, kinds):
+                raise TypeError(f"a column of table {name!r} changes cell type between chunks")
+            csv_texts, json_texts = zip(*map(_encode_column, cells, kinds, repeat(want_json)))
             if want_csv:
                 csv_fh.write("".join(_lay_out(csv_layout, csv_texts)))
             if want_json:
                 flat = _lay_out(json_layout, json_texts)
-                if first:
+                if table_kinds is None:
                     flat[0] = "[" + flat[0][1:]
                 json_fh.write("".join(flat))
-            first = False
-            chunk = csv_texts = json_texts = flat = None  # drop this chunk before the next is cut
+            table_kinds = kinds
+            # Drop this chunk before the next is cut.
+            chunk = cells = csv_texts = json_texts = flat = None
         if want_json:
-            json_fh.write("[]\n" if first else "\n]\n")
+            json_fh.write("[]\n" if table_kinds is None else "\n]\n")
+        cleanup.pop_all()
     return written
 
 

@@ -35,6 +35,9 @@ SECONDS_PER_HOUR = 3600.0
 # Fixed evaluation order for the per-step copy updates.
 PROTOCOL_ORDER = tuple(ProtocolKind)
 
+# A packet may take at most this many steps per network node.
+STEP_BUDGET_FACTOR = 10
+
 
 class PacketState(Enum):
     INTACT = "intact"
@@ -139,12 +142,13 @@ def simulate_packet(
     current (perturbed) quality; both matrices are read once per packet,
     and perturb writes the current one in place.  perturb (once per step),
     next_hop and hop_outcome (once per step of each copy) are looked up in
-    this module's globals at each call.  Exceeding the step budget raises
+    this module's globals at each call.  Exceeding the step budget
+    (STEP_BUDGET_FACTOR times the node count unless one is given) raises
     SimulationFault.  Returns one PacketRecord per protocol, in
     PROTOCOL_ORDER.
     """
     if step_budget is None:
-        step_budget = StudyConfig.step_budget_factor * network.node_count
+        step_budget = STEP_BUDGET_FACTOR * network.node_count
     src = network.probe_id
     dst = network.ground_id
     distance = network.default_distance
@@ -239,7 +243,6 @@ def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
     warning.
     """
     network = build_network(place_nodes(config, rng), rng, config)
-    budget = config.step_budget_factor * network.node_count
     shape = (len(PROTOCOL_ORDER), config.packet_count)
     times_hr = np.empty(shape, dtype=np.float64)
     damaged = np.empty(shape, dtype=bool)
@@ -248,9 +251,7 @@ def run_simulation(config: StudyConfig, rng: np.random.Generator) -> RunResult:
     routes: list[list[Route]] = [[] for _ in PROTOCOL_ORDER]
     interned: dict[Route, Route] = {}
     for k in range(config.packet_count):
-        copies = simulate_packet(
-            network, rng, config.sigma_frac, packet_index=k, step_budget=budget
-        )
+        copies = simulate_packet(network, rng, config.sigma_frac, packet_index=k)
         for (_, _, route, t, state), ts, ds, rs in zip(copies, times, flags, routes):
             ts.append(t)
             ds.append(state is _DAMAGED)

@@ -91,7 +91,7 @@ def run_study(config: StudyConfig) -> StudyReport:
             for metric in RUN_VALUE_OF_METRIC
         }
     )
-    decision_corrected = practicality_correction(decision_raw, config.baseline)
+    decision_corrected = practicality_correction(decision_raw)
     ranking = rank(decision_corrected)
 
     frequent_routes = []

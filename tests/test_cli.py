@@ -10,6 +10,7 @@ import warnings
 
 import pytest
 
+import dtn_tradesim.simulation as simulation
 from dtn_tradesim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
 
 
@@ -181,8 +182,23 @@ def test_bad_flag_value_is_config_error(flags, capsys):
         (["validate"], EXIT_CONFIG, "required: --config"),
         ([], EXIT_CONFIG, "required: command"),
         (["run", "--help"], EXIT_OK, None),
+        # The practicality baseline and the step budget are not config keys.
+        (["run", "--baseline", "bundle"], EXIT_CONFIG, "unrecognized arguments: --baseline"),
+        (
+            ["run", "--step-budget-factor", "10"],
+            EXIT_CONFIG,
+            "unrecognized arguments: --step-budget-factor",
+        ),
     ],
-    ids=["unknown-flag", "flag-prefix", "validate-no-config", "no-command", "run-help"],
+    ids=[
+        "unknown-flag",
+        "flag-prefix",
+        "validate-no-config",
+        "no-command",
+        "run-help",
+        "no-baseline-flag",
+        "no-step-budget-flag",
+    ],
 )
 def test_usage_error_is_config_error(argv, code, message, capsys):
     try:
@@ -198,13 +214,27 @@ def test_usage_error_is_config_error(argv, code, message, capsys):
 
 def test_derived_long_flags(tmp_path):
     out_dir = str(tmp_path / "report")
-    flags = "--run-count 1 --packet-count 4 --relay-count 3 --baseline quality_dijkstra"
-    code = main(["run", *flags.split(), "--step-budget-factor", "7", "--out-dir", out_dir])
+    flags = "--run-count 1 --packet-count 4 --relay-count 3 --min-coord-km 2e4"
+    code = main(["run", *flags.split(), "--out-dir", out_dir])
     assert code == EXIT_OK
     with open(os.path.join(out_dir, "manifest.txt"), encoding="utf-8") as fh:
         manifest = fh.read()
-    assert "baseline=quality_dijkstra" in manifest
-    assert "step_budget_factor=7" in manifest
+    assert "relay_count=3" in manifest
+    assert "min_coord_km=20000.0" in manifest
+
+
+def test_step_budget_fault_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    # A budget of one step per node: no route of 4 relays at sigma 0.6
+    # reaches the ground that soon, so the run stops with a simulation fault.
+    monkeypatch.setattr(simulation, "STEP_BUDGET_FACTOR", 1)
+    flags = "--relays 4 --sigma-frac 0.6 --runs 1 --packets 20 --seed 0"
+    code = main(["run", *flags.split(), "--out", str(tmp_path / "report")])
+    assert code == EXIT_SIMULATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("simulation fault: run 0: packet ")
+    assert "step budget 6 exceeded with copies still in flight: " in err
+    assert " route 0-" in err
 
 
 def test_edge_config_sweep_ends_in_documented_exit_codes(tmp_path):
@@ -246,9 +276,7 @@ def fuzz_flags(seed: int, count: int):
     for _ in range(count):
         flags = ["--relays", str(r.randint(1, 10)), "--runs", str(r.randint(1, 3))]
         flags += ["--packets", str(r.randint(1, 3)), "--seed", str(r.randrange(2**32))]
-        flags += ["--step-budget-factor", str(r.randint(1, 10))]
         flags += ["--format", r.choice(("csv", "json", "both"))]
-        flags += ["--baseline", r.choice(("bundle", "distance_dijkstra", "quality_dijkstra"))]
         for key in FUZZ_FLOAT_KEYS:
             flags += ["--" + key.replace("_", "-"), repr(r.choice(FUZZ_FLOATS))]
         yield flags

@@ -10,7 +10,6 @@ import pytest
 
 from dtn_tradesim.config import StudyConfig, config_hash, config_lines, load_config
 from dtn_tradesim.errors import ConfigurationError
-from dtn_tradesim.routing import ProtocolKind
 
 
 def test_defaults_without_file():
@@ -22,7 +21,6 @@ def test_defaults_without_file():
     assert cfg.relay_count == 10
     assert cfg.seed == 0
     assert cfg.end_to_end_km == 1.27e9
-    assert cfg.baseline is ProtocolKind.BUNDLE
 
 
 def test_file_values_and_comments(tmp_path):
@@ -33,14 +31,14 @@ def test_file_values_and_comments(tmp_path):
         "packet_count = 120\n"
         "run_count=3\n"
         "sigma_frac = 0.1\n"
-        "baseline = quality_dijkstra\n"
+        "seed = 7\n"
         "format = both\n"
     )
     cfg = load_config(str(path))
     assert cfg.packet_count == 120
     assert cfg.run_count == 3
     assert cfg.sigma_frac == 0.1
-    assert cfg.baseline is ProtocolKind.QUALITY_DIJKSTRA
+    assert cfg.seed == 7
     assert cfg.format == "both"
     assert cfg.relay_count == 10  # untouched default
 
@@ -122,7 +120,8 @@ def test_override_strings_are_converted():
 def test_invalid_values_rejected(overrides):
     with pytest.raises(ConfigurationError):
         load_config(None, overrides)
-    if "bogus_key" not in overrides:  # a field: building the config refuses it
+    # A config key: building the config refuses the value as well.
+    if overrides.keys() <= {f.name for f in fields(StudyConfig)}:
         with pytest.raises(ConfigurationError):
             StudyConfig(**overrides)
         with pytest.raises(ConfigurationError):
@@ -168,7 +167,30 @@ def test_int_and_float_spellings_of_a_float_key_hash_alike():
 
 
 def test_config_lines_cover_every_field():
-    lines = config_lines(StudyConfig())
-    keys = {line.split("=", 1)[0] for line in lines}
-    assert {"packet_count", "run_count", "sigma_frac", "seed", "baseline"} <= keys
-    assert any(line == "baseline=bundle" for line in lines)
+    keys = [line.split("=", 1)[0] for line in config_lines(StudyConfig())]
+    assert keys == [
+        "packet_count",
+        "run_count",
+        "sigma_frac",
+        "beta_a",
+        "beta_b",
+        "relay_count",
+        "seed",
+        "end_to_end_km",
+        "min_coord_km",
+        "out_dir",
+        "format",
+    ]
+
+
+@pytest.mark.parametrize("line", ["baseline=bundle", "step_budget_factor=10"])
+def test_removed_keys_are_unknown(tmp_path, line):
+    # The practicality baseline and the step budget are fixed by the model,
+    # so a config that sets either, even to the value in force, is refused.
+    key, _, value = line.partition("=")
+    with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+        load_config(None, {key: value})
+    path = tmp_path / "study.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigurationError, match=f"study.cfg:1: unknown key '{key}'"):
+        load_config(str(path))

@@ -114,6 +114,16 @@ def test_practicality_correction_spares_equal_reliability():
     assert corrected.row(D).v_transmission_time == 1.0  # equal, not worse
 
 
+def test_practicality_correction_baseline_defaults_to_bundle():
+    # Each baseline zeroes a different set of speed credits here.
+    table = build_table({B: 50.0, D: 60.0, Q: 40.0}, {B: 2.0, D: 1.0, Q: 3.0})
+    corrected = practicality_correction(table)
+    assert corrected == practicality_correction(table, baseline=B)
+    assert [r.v_transmission_time for r in corrected.rows] == [0.5, 0.0, 0.0]
+    for other in (D, Q):
+        assert corrected != practicality_correction(table, baseline=other)
+
+
 def test_practicality_correction_other_baseline():
     corrected = practicality_correction(build_table(PE_MEANS, TT_MEANS), baseline=Q)
     assert corrected.row(B).v_transmission_time == 0.0

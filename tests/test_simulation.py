@@ -214,7 +214,7 @@ def test_engine_matches_one_packet_reference(monkeypatch, relays, sigma, beta_a)
 
     r = rng(17)
     network = build_network(place_nodes(cfg, r), r, cfg)
-    budget = cfg.step_budget_factor * network.node_count
+    budget = simulation.STEP_BUDGET_FACTOR * network.node_count
     want, reference_steps = [], []
     for k in range(cfg.packet_count):
         records, steps = reference_packet(network, r, sigma, k, step_budget=budget)
@@ -275,10 +275,18 @@ def test_step_budget_violation_raises():
         simulate_packet(network, rng(4), sigma_frac=0.05, step_budget=1)
 
 
-def test_step_budget_fault_names_each_route_in_flight():
-    cfg = StudyConfig(
-        relay_count=4, sigma_frac=0.6, packet_count=20, run_count=1, step_budget_factor=1
-    )
+def test_step_budget_defaults_to_ten_steps_per_node(monkeypatch):
+    assert simulation.STEP_BUDGET_FACTOR == 10
+    network = build_random_network(seed=43)
+    # The default is read at each call, so a smaller factor takes effect.
+    monkeypatch.setattr(simulation, "STEP_BUDGET_FACTOR", 0)
+    with pytest.raises(SimulationFault, match=r"^packet 0: step budget 0 exceeded "):
+        simulate_packet(network, rng(4), sigma_frac=0.05)
+
+
+def test_step_budget_fault_names_each_route_in_flight(monkeypatch):
+    monkeypatch.setattr(simulation, "STEP_BUDGET_FACTOR", 1)
+    cfg = StudyConfig(relay_count=4, sigma_frac=0.6, packet_count=20, run_count=1)
     with pytest.raises(SimulationFault) as info:
         run_simulation(cfg, rng(0))
     budget = cfg.relay_count + 2
@@ -383,15 +391,7 @@ def test_run_simulation_resets_between_packets():
     want = []
     for k in range(cfg.packet_count):
         reset(network)
-        want.extend(
-            simulate_packet(
-                network,
-                r,
-                cfg.sigma_frac,
-                packet_index=k,
-                step_budget=cfg.step_budget_factor * network.node_count,
-            )
-        )
+        want.extend(simulate_packet(network, r, cfg.sigma_frac, packet_index=k))
     assert got == want
     for j, p in enumerate(PROTOCOL_ORDER):
         replayed = [r for r in want if r.protocol is p]

@@ -373,6 +373,8 @@ def rejected_tables():
             ["k", "route"],
             [(k, "a,b" if k == _CHUNK_ROWS + 7 else f"0-{k % 5}-1") for k in range(chunks)],
         ),
+        # The first chunk fixes each column's type for the whole table.
+        "split": (TypeError, ["x"], [(k,) for k in range(_CHUNK_ROWS)] + [(0.5,)]),
     }
 
 
@@ -382,6 +384,15 @@ def test_write_table_rejects_cells_it_cannot_write_plainly(tmp_path, name):
     for fmt in ("csv", "json", "both"):
         with pytest.raises(error):
             _write_table(str(tmp_path), name, columns, rows, fmt)
+        # No file of the refused table is left behind, not even a header.
+        assert os.listdir(tmp_path) == [], fmt
+
+
+def test_write_table_removes_its_csv_when_the_json_cannot_be_opened(tmp_path):
+    (tmp_path / "t.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        _write_table(str(tmp_path), "t", ["x"], [(1,)], "both")
+    assert os.listdir(tmp_path) == ["t.json"]
 
 
 def run_slices(ext, data):
@@ -438,7 +449,7 @@ def test_network_tables_split_into_reference_per_run_files(tmp_path, relay_count
 # sha256 of every file of the default seed-0 bundle in both formats, written
 # to the default out_dir so that the manifest is stable.  Over all of them,
 # `sha256sum * | sha256sum` in the bundle directory gives
-# 7e3547551e2cdb1f4ce4805910e82b3a944d38276b9edfb48c80f4856d27fa29.
+# 5122ad0e7d73f8af185edfa250d3bc30bb8020a7c48df63492fa97777913212e.
 # A deliberate change to the model or its random streams updates them and
 # declares the change.
 GOLDEN_SHA256 = {
@@ -448,7 +459,7 @@ GOLDEN_SHA256 = {
     "decision.json": "aa6b19068c4ccb7c8596ecce0c39e9091052eba1829efd344b1c1dadaddb8f86",
     "frequent_routes.csv": "c72309f8ae9d413855ee5b24cc8d22e73f8932ecdc13ed4744f90df67a792e65",
     "frequent_routes.json": "7c4f3812f76fd91ca91be12403b13beedba7be3423333472627d26b4e51516ff",
-    "manifest.txt": "d0f32e38e143ea739d1798a46ac1f0180251c708eb289d9477dc17c62c82873b",
+    "manifest.txt": "26741d099848bd7cf08976ae7035144dc404c60bbe3e067d32da80640ac952f1",
     "network_links.csv": "eb76e196cfc565cdb75b557e95b77d39851d228c90d14407c30d1a99af1bea95",
     "network_links.json": "83cdcbb1f605abb85e0fa4ea1eb5001d2819993c9d2c7f6c2d8128eefd8af59f",
     "network_nodes.csv": "a454c9461222aadb82ac818ac961e7a6d5a7ddd411d33c7bf4da4e246905ce89",
