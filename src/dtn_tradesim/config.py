@@ -72,6 +72,8 @@ class StudyConfig:
             raise ConfigurationError(
                 f"seed must fit an unsigned 64-bit int, got {_shown(self.seed)}"
             )
+        if not self.out_dir:
+            raise ConfigurationError("out_dir must be a non-empty path, got ''")
         if self.format not in FORMATS:
             raise ConfigurationError(
                 f"format must be one of {', '.join(FORMATS)}, got {self.format!r}"

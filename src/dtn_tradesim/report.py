@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 import os
 import re
+import tempfile
 from collections.abc import Collection, Iterable
 from dataclasses import fields
 from itertools import chain, count, islice, repeat
@@ -24,7 +24,7 @@ from .config import StudyConfig, config_lines
 from .network import GROUND_ID, PROBE_ID, NodeKind
 from .routing import ProtocolKind, Route
 from .simulation import PROTOCOL_ORDER, PacketState
-from .stats import PROTOCOL_PAIRS
+from .stats import NO_TEST_REASONS, PROTOCOL_PAIRS, no_test_reason
 from .study import StudyReport
 
 # Column names, then the rows: one value tuple per row, in column order.
@@ -111,30 +111,26 @@ def _write_table(
     as true/false), which quotes no cell here, and of json.dump(indent=2)
     over one object per row with NaN as null.  Column names must pass
     _check_text, and each column the type rules of _encode_column, with
-    one cell type for the whole table; a table that breaks them, or fails
-    to be written, raises, and the files it opened are removed first.  rows
-    is consumed once, _CHUNK_ROWS at a time, so of a table built lazily
-    only one chunk is held.  Each chunk is transposed and encoded column by column, so a
-    float or int cell is turned into text once for both formats; each
-    file's chunk is then its rows laid out between constant separators and
-    written with one join.
+    one cell type for the whole table; a table that breaks them raises and
+    leaves what it wrote so far (write_report writes into a staging
+    directory).  rows is consumed once, _CHUNK_ROWS at a time, so of a
+    table built lazily only one chunk is held.  Each chunk is transposed
+    and encoded column by column, so a float or int cell is turned into
+    text once for both formats; each file's chunk is then its rows laid out
+    between constant separators and written with one join.
     """
     _check_text(columns)
     want_csv, want_json = fmt in ("csv", "both"), fmt in ("json", "both")
     written = [f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
-    # cleanup removes the files opened so far unless the table is written whole.
-    # It exits after stack, so each file is closed before it is removed.
-    with contextlib.ExitStack() as cleanup, contextlib.ExitStack() as stack:
+    with contextlib.ExitStack() as stack:
         if want_csv:
             path = os.path.join(out_dir, f"{name}.csv")
             csv_fh = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
-            cleanup.callback(os.remove, path)
             csv_fh.write(",".join(columns) + "\n")
             csv_layout = [None, ","] * (len(columns) - 1) + [None, "\n"]
         if want_json:
             path = os.path.join(out_dir, f"{name}.json")
             json_fh = stack.enter_context(open(path, "w", encoding="utf-8"))
-            cleanup.callback(os.remove, path)
             keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
             # Each row begins with the separator from the row before it.
             json_layout = [",\n  {\n" + keys[0]]
@@ -161,7 +157,6 @@ def _write_table(
             chunk = cells = csv_texts = json_texts = flat = None
         if want_json:
             json_fh.write("[]\n" if table_kinds is None else "\n]\n")
-        cleanup.pop_all()
     return written
 
 
@@ -228,8 +223,6 @@ def _study_rows(report: StudyReport) -> Table:
 
 def _ttest_cells(report: StudyReport):
     """(metric, a, b, result) for each unordered protocol pair, in table order."""
-    if report.ttests is None:
-        return
     for metric, entries in report.ttests.items():
         for a, b in PROTOCOL_PAIRS:
             yield metric, a, b, entries[(a, b)]
@@ -305,8 +298,11 @@ def _link_rows(report: StudyReport) -> Table:
 def write_report(report: StudyReport) -> list[str]:
     """Write the full bundle into config.out_dir; returns written file names.
 
-    Table files that out_dir's old manifest lists and this bundle does not
-    write are removed; files no manifest listed are left alone.
+    Every file is written into a staging directory inside out_dir first, so
+    a write that raises leaves out_dir as it was.  Then the old manifest is
+    removed, the tables are moved in, table files that the old manifest
+    lists and this bundle does not write are removed (files no manifest
+    listed are left alone), and the new manifest is moved in last.
     """
     config: StudyConfig = report.config
     out_dir = config.out_dir
@@ -331,40 +327,39 @@ def write_report(report: StudyReport) -> list[str]:
         ("network_nodes", _node_rows),
         ("network_links", _link_rows),
     ]
-    files: list[str] = []
-    for name, build in tables:
-        files += _write_table(out_dir, name, *build(report), config.format)
-
-    # NaN cells: both variances zero, or a sample that is not finite.
-    degenerate, not_finite = [], []
-    for metric, a, b, r in _ttest_cells(report):
-        if math.isnan(r.p):
-            cells = getattr(report.study_summary, metric)
-            flat = cells[a].std == cells[b].std == 0.0
-            (degenerate if flat else not_finite).append(f"{metric} {a.value}/{b.value}")
-    # Only bare table file names, so nothing outside out_dir is touched.
-    for name in set(old_files).difference(files):
-        if name.endswith((".csv", ".json")) and os.path.basename(name) == name:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, name))
-    with open(manifest, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"dtn-tradesim {report.provenance['tool_version']}\n")
-        fh.write(f"seed={report.provenance['seed']}\n")
-        fh.write(f"config_hash={report.provenance['config_hash']}\n")
-        fh.write("ranking=" + ">".join(p.value for p in report.ranking) + "\n")
-        if report.ttests is None:
-            fh.write("ttests=skipped (run_count < 2)\n")
-        if degenerate:
-            fh.write("ttests=NaN where both variances are zero: ")
-            fh.write(", ".join(degenerate) + "\n")
-        if not_finite:
-            fh.write("ttests=NaN where a sample's mean or std is not finite: ")
-            fh.write(", ".join(not_finite) + "\n")
-        fh.write("[config]\n")
-        for line in config_lines(config):
-            fh.write(line + "\n")
-        fh.write("[files]\n")
+    # The cells without a Welch test, grouped by the reason stats gives.
+    untested: dict[str, list[str]] = {reason: [] for reason in NO_TEST_REASONS}
+    for metric, a, b, _ in _ttest_cells(report):
+        cells = getattr(report.study_summary, metric)
+        if reason := no_test_reason(cells[a], cells[b]):
+            untested[reason].append(f"{metric} {a.value}/{b.value}")
+    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".staging-") as staging:
+        files: list[str] = []
+        for name, build in tables:
+            files += _write_table(staging, name, *build(report), config.format)
+        with open(os.path.join(staging, "manifest.txt"), "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"dtn-tradesim {report.provenance['tool_version']}\n")
+            fh.write(f"seed={report.provenance['seed']}\n")
+            fh.write(f"config_hash={report.provenance['config_hash']}\n")
+            fh.write("ranking=" + ">".join(p.value for p in report.ranking) + "\n")
+            for reason, named in untested.items():
+                if named:
+                    fh.write(f"ttests=NaN where {reason}: " + ", ".join(named) + "\n")
+            fh.write("[config]\n")
+            for line in config_lines(config):
+                fh.write(line + "\n")
+            fh.write("[files]\n")
+            for name in files:
+                fh.write(name + "\n")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(manifest)
         for name in files:
-            fh.write(name + "\n")
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+        # Only bare table file names, so nothing outside out_dir is touched.
+        for name in set(old_files).difference(files):
+            if name.endswith((".csv", ".json")) and os.path.basename(name) == name:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(out_dir, name))
+        os.replace(os.path.join(staging, "manifest.txt"), manifest)
     files.append("manifest.txt")
     return files

@@ -8,7 +8,6 @@ and can be cross-checked against direct numeric integration of the density.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -27,8 +26,6 @@ SIGNIFICANCE_LEVEL = 0.05
 # welch_t rescales larger or smaller ones (see there).
 _PLAIN_STD = (1e-50, 1e50)
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -45,21 +42,12 @@ class SummaryStats:
 
 
 def summarize(samples) -> SummaryStats:
-    """Summary statistics of a sample; at least two values required."""
+    """Summary statistics of a non-empty sample; one value has no spread (NaN std)."""
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < 2:
-        raise ValueError(f"need at least 2 samples, got {arr.size}")
-    return SummaryStats(
-        mean=float(np.mean(arr)), std=float(np.std(arr, ddof=1)), n=int(arr.size)
-    )
-
-
-def summarize_or_mean(samples) -> SummaryStats:
-    """summarize, except that one sample has a mean but no spread (NaN std)."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 1:
-        return SummaryStats(mean=float(arr[0]), std=math.nan, n=1)
-    return summarize(arr)
+    if arr.size == 0:
+        raise ValueError("need at least 1 sample, got 0")
+    std = float(np.std(arr, ddof=1)) if arr.size > 1 else math.nan
+    return SummaryStats(mean=float(np.mean(arr)), std=std, n=int(arr.size))
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -136,6 +124,25 @@ class TTestResult:
     significant: bool
 
 
+# Why two samples have no Welch test, checked in this order (no_test_reason).
+NO_TEST_REASONS = (
+    "a sample has fewer than 2 values",
+    "both variances are zero",
+    "a sample's mean or std is not finite",
+)
+
+
+def no_test_reason(s1: SummaryStats, s2: SummaryStats) -> str | None:
+    """The first of NO_TEST_REASONS that holds for the two samples, or None."""
+    if s1.n < 2 or s2.n < 2:
+        return NO_TEST_REASONS[0]
+    if s1.std == s2.std == 0.0:
+        return NO_TEST_REASONS[1]
+    if not all(map(math.isfinite, (s1.mean, s1.std, s2.mean, s2.std))):
+        return NO_TEST_REASONS[2]
+    return None
+
+
 def welch_t(s1: SummaryStats, s2: SummaryStats) -> TTestResult:
     """Welch's unequal-variance t-test from summary statistics.
 
@@ -143,23 +150,20 @@ def welch_t(s1: SummaryStats, s2: SummaryStats) -> TTestResult:
     Welch-Satterthwaite; p is the one-tailed probability beyond |t|, so the
     test reads in the direction of the observed difference.
 
-    t and df do not change when both samples are scaled alike, so when the
-    larger std lies outside _PLAIN_STD, both are divided by it first and the
-    squares stay finite; inside it the scale is 1.0, which divides exactly.
-    A sample with a non-finite mean or std (its values overflowed) has no
-    test: t, df and p are NaN and it is not significant.
+    Two samples for which no_test_reason names a reason have no test: t,
+    df and p are NaN and the cell is not significant.  t and df do not
+    change when both samples are scaled alike, so when the larger std lies
+    outside _PLAIN_STD, both are divided by it first and the squares stay
+    finite (and, as not both are zero, their sum positive); inside it the
+    scale is 1.0, which divides exactly.
     """
-    if s1.n < 2 or s2.n < 2:
-        raise ValueError("both samples need n >= 2")
-    if not all(map(math.isfinite, (s1.mean, s1.std, s2.mean, s2.std))):
+    if no_test_reason(s1, s2) is not None:
         return TTestResult(math.nan, math.nan, math.nan, False)
     larger = max(s1.std, s2.std)
-    scale = 1.0 if larger == 0.0 or _PLAIN_STD[0] <= larger <= _PLAIN_STD[1] else larger
+    scale = 1.0 if _PLAIN_STD[0] <= larger <= _PLAIN_STD[1] else larger
     v1 = (s1.std / scale) ** 2 / s1.n
     v2 = (s2.std / scale) ** 2 / s2.n
     pooled = v1 + v2
-    if pooled == 0.0:
-        raise ValueError("degenerate test: both sample variances are zero")
     t = (s1.mean - s2.mean) / scale / math.sqrt(pooled)
     df = pooled**2 / (v1**2 / (s1.n - 1) + v2**2 / (s2.n - 1))
     p = student_t_upper_tail(abs(t), df)
@@ -185,25 +189,15 @@ def significance_matrix(study: StudySummary) -> PairwiseTests:
 
     Both orientations of each pair are present: the reverse cell negates t
     and keeps df and p, exactly as welch_t would give them.  A protocol is
-    never tested against itself.  A pair whose two samples both have zero variance has no
-    Welch test: its cell holds NaN for t, df and p and is not significant.
+    never tested against itself.  A pair with no test (no_test_reason) holds
+    NaN for t, df and p and is not significant.
     """
     out: PairwiseTests = {}
     for metric in fields(study):
         cells = getattr(study, metric.name)
-        flat = [p for p in ProtocolKind if cells[p].std == 0.0]
-        if len(flat) > 1:
-            logger.warning(
-                "%s: zero variance for %s; their t-tests are written as NaN",
-                metric.name,
-                ", ".join(p.value for p in flat),
-            )
         entries: dict[tuple[ProtocolKind, ProtocolKind], TTestResult] = {}
         for a, b in PROTOCOL_PAIRS:
-            if a in flat and b in flat:
-                result = TTestResult(math.nan, math.nan, math.nan, False)
-            else:
-                result = welch_t(cells[a], cells[b])
+            result = welch_t(cells[a], cells[b])
             entries[(a, b)] = result
             entries[(b, a)] = replace(result, t=-result.t)
         out[metric.name] = entries

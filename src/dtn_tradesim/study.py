@@ -13,7 +13,7 @@ from .decision import DecisionTable, build_table, practicality_correction, rank
 from .errors import SimulationFault
 from .routing import ProtocolKind, Route, most_frequent_path
 from .simulation import PROTOCOL_ORDER, RunResult, run_simulation
-from .stats import PairwiseTests, StudySummary, significance_matrix, summarize_or_mean
+from .stats import PairwiseTests, StudySummary, significance_matrix, summarize
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +36,7 @@ class StudyReport:
     config: StudyConfig
     runs: list[RunResult]
     study_summary: StudySummary
-    ttests: PairwiseTests | None
+    ttests: PairwiseTests
     decision_raw: DecisionTable
     decision_corrected: DecisionTable
     ranking: list[ProtocolKind]
@@ -53,7 +53,7 @@ def _study_summary(runs: list[RunResult]) -> StudySummary:
     return StudySummary(
         **{
             metric: {
-                p: summarize_or_mean([getattr(run.summaries[p], value) for run in runs])
+                p: summarize([getattr(run.summaries[p], value) for run in runs])
                 for p in ProtocolKind
             }
             for metric, value in RUN_VALUE_OF_METRIC.items()
@@ -78,13 +78,7 @@ def run_study(config: StudyConfig) -> StudyReport:
         logger.info("run %d of %d complete", i + 1, config.run_count)
 
     study_summary = _study_summary(runs)
-
-    if config.run_count >= 2:
-        ttests = significance_matrix(study_summary)
-    else:
-        logger.warning("run_count < 2: skipping significance tests")
-        ttests = None
-
+    ttests = significance_matrix(study_summary)
     decision_raw = build_table(
         **{
             metric: {p: s.mean for p, s in getattr(study_summary, metric).items()}

@@ -212,6 +212,16 @@ def test_usage_error_is_config_error(argv, code, message, capsys):
         assert message in err
 
 
+def test_empty_out_dir_is_one_line_config_error(tmp_path, capsys):
+    # Refused with the config, not after the study when the bundle is written.
+    path = tmp_path / "study.cfg"
+    path.write_text("out_dir=\n")
+    for argv in (["validate", "--config", str(path)], ["run", "--out", ""]):
+        assert main(argv) == EXIT_CONFIG, argv
+        err = capsys.readouterr().err
+        assert err == "configuration error: out_dir must be a non-empty path, got ''\n", argv
+
+
 def test_derived_long_flags(tmp_path):
     out_dir = str(tmp_path / "report")
     flags = "--run-count 1 --packet-count 4 --relay-count 3 --min-coord-km 2e4"

@@ -115,6 +115,7 @@ def test_override_strings_are_converted():
         {"seed": 10**5000},
         {"packet_count": -(10**5000)},
         {"format": 10**5000},
+        {"out_dir": ""},
     ],
 )
 def test_invalid_values_rejected(overrides):

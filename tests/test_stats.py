@@ -1,5 +1,6 @@
 """Summary stats, the hand-rolled t tail, and Welch tests against references."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,11 @@ from scipy import special as scipy_special
 
 from dtn_tradesim.routing import ProtocolKind
 from dtn_tradesim.stats import (
+    NO_TEST_REASONS,
     StudySummary,
     SummaryStats,
     regularized_incomplete_beta,
+    no_test_reason,
     significance_matrix,
     student_t_upper_tail,
     summarize,
@@ -40,9 +43,15 @@ def test_summarize_constant_sample():
     assert s.std == 0.0
 
 
-def test_summarize_requires_two_samples():
+def test_summarize_one_value_has_nan_std():
+    s = summarize([2.5])
+    assert (s.mean, s.n) == (2.5, 1)
+    assert math.isnan(s.std) and math.isnan(s.sem)
+
+
+def test_summarize_requires_a_value():
     with pytest.raises(ValueError):
-        summarize([1.0])
+        summarize([])
 
 
 def test_sem_reference_value():
@@ -124,14 +133,51 @@ def test_welch_equal_summaries():
     assert not r.significant
 
 
-def test_welch_degenerate_variances_raise():
-    with pytest.raises(ValueError):
-        welch_t(SummaryStats(1.0, 0.0, 5), SummaryStats(2.0, 0.0, 5))
+def is_nan_cell(r):
+    return math.isnan(r.t) and math.isnan(r.df) and math.isnan(r.p) and not r.significant
 
 
-def test_welch_requires_two_samples_each():
-    with pytest.raises(ValueError):
-        welch_t(SummaryStats(1.0, 0.5, 1), SummaryStats(2.0, 0.5, 5))
+def test_welch_degenerate_variances_are_nan():
+    s1, s2 = SummaryStats(1.0, 0.0, 5), SummaryStats(2.0, 0.0, 5)
+    assert no_test_reason(s1, s2) == "both variances are zero"
+    assert is_nan_cell(welch_t(s1, s2))
+
+
+def test_welch_without_two_samples_each_is_nan():
+    s1, s2 = SummaryStats(1.0, 0.5, 1), SummaryStats(2.0, 0.5, 5)
+    for a, b in [(s1, s2), (s2, s1), (s1, s1)]:
+        assert no_test_reason(a, b) == "a sample has fewer than 2 values"
+        assert is_nan_cell(welch_t(a, b))
+
+
+# Every SummaryStats of n 1, 2, 5; std 0, 1, inf, NaN; mean 0, inf, NaN.
+GRID = [
+    SummaryStats(mean, std, n)
+    for n in (1, 2, 5)
+    for std in (0.0, 1.0, math.inf, math.nan)
+    for mean in (0.0, math.inf, math.nan)
+]
+
+
+def test_welch_is_nan_exactly_where_no_test_reason_names_one():
+    seen = set()
+    for s1, s2 in itertools.product(GRID, repeat=2):
+        reason = no_test_reason(s1, s2)
+        seen.add(reason)
+        # The first reason that holds, in NO_TEST_REASONS order.
+        holds = [
+            min(s1.n, s2.n) < 2,
+            s1.std == 0.0 and s2.std == 0.0,
+            not all(math.isfinite(v) for v in (s1.mean, s1.std, s2.mean, s2.std)),
+        ]
+        want = next((r for r, h in zip(NO_TEST_REASONS, holds) if h), None)
+        assert reason == want, (s1, s2)
+        r = welch_t(s1, s2)
+        if reason is None:
+            assert math.isfinite(r.t) and math.isfinite(r.df) and 0.0 < r.p <= 0.5
+        else:
+            assert is_nan_cell(r), (s1, s2)
+    assert seen == {None, *NO_TEST_REASONS}
 
 
 def test_welch_antisymmetry_and_bounds():
@@ -170,9 +216,7 @@ def test_welch_scale_invariance():
     "s1", [SummaryStats(1e300, math.inf, 3), SummaryStats(math.inf, math.nan, 3)]
 )
 def test_welch_without_finite_sample_is_nan(s1):
-    r = welch_t(s1, SummaryStats(2.0, 0.5, 3))
-    assert math.isnan(r.t) and math.isnan(r.df) and math.isnan(r.p)
-    assert not r.significant
+    assert is_nan_cell(welch_t(s1, SummaryStats(2.0, 0.5, 3)))
 
 
 def test_student_t_tail_rejects_nan_df():
@@ -185,13 +229,12 @@ def test_significance_matrix_zero_variance_cells_are_nan(caplog):
     study = StudySummary(percent_error={B: flat, D: flat, Q: PE_REF[Q]}, transmission_time=TT_REF)
     pe = significance_matrix(study)["percent_error"]
     for pair in [(B, D), (D, B)]:
-        cell = pe[pair]
-        assert math.isnan(cell.t) and math.isnan(cell.df) and math.isnan(cell.p)
-        assert not cell.significant
+        assert is_nan_cell(pe[pair])
     assert pe[(B, Q)] == welch_t(flat, PE_REF[Q])
     assert pe[(Q, B)] == welch_t(PE_REF[Q], flat)
     assert pe[(Q, D)] == welch_t(PE_REF[Q], flat)
-    assert "zero variance for bundle, distance_dijkstra" in caplog.text
+    # The manifest names such cells; nothing is logged.
+    assert caplog.records == []
 
 
 def test_significance_matrix_reference_pattern():

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -74,10 +75,12 @@ def test_study_means_equal_mean_of_run_values():
         )
 
 
-def test_single_run_skips_ttests(caplog):
+def test_single_run_ttests_are_nan(caplog):
     report = run_study(small_config(run_count=1))
-    assert report.ttests is None
-    assert any("skipping significance" in r.message for r in caplog.records)
+    for metric, entries in report.ttests.items():
+        assert len(entries) == 6, metric
+        assert all(math.isnan(r.p) and not r.significant for r in entries.values())
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     for p in ProtocolKind:
         s = report.study_summary.percent_error[p]
         assert s.n == 1 and math.isnan(s.std)
@@ -148,14 +151,25 @@ def test_write_report_json_matches_csv_rows(tmp_path):
     assert {row["protocol"] for row in decision} == {p.value for p in ProtocolKind}
 
 
-def test_skipped_ttests_leave_header_only_table(tmp_path):
+@pytest.mark.parametrize("run_count", [1, 2, 5])
+def test_ttest_matrix_has_six_rows_at_any_run_count(tmp_path, run_count):
+    cfg = small_config(run_count=run_count, packet_count=5, out_dir=str(tmp_path / "b"))
+    write_report(run_study(cfg))
+    rows = read_csv(os.path.join(cfg.out_dir, "ttest_matrix.csv"))
+    assert len(rows) - 1 == 6  # 3 pairs x 2 metrics
+
+
+def test_single_run_ttest_matrix_has_six_nan_rows(tmp_path):
     cfg = small_config(run_count=1, out_dir=str(tmp_path / "onerun"))
     write_report(run_study(cfg))
     rows = read_csv(os.path.join(cfg.out_dir, "ttest_matrix.csv"))
-    assert len(rows) == 1  # schema header, no data
+    assert len(rows) - 1 == 6
+    assert all(row[3:] == ["nan", "nan", "nan", "false"] for row in rows[1:])
     with open(os.path.join(cfg.out_dir, "manifest.txt"), encoding="utf-8") as fh:
         manifest = fh.read()
-    assert "ttests=skipped" in manifest
+    named = ", ".join(f"{r[0]} {r[1]}/{r[2]}" for r in rows[1:])
+    assert f"\nttests=NaN where a sample has fewer than 2 values: {named}\n" in manifest
+    assert manifest.count("ttests=") == 1
 
 
 def test_zero_variance_ttests_written_as_nan(tmp_path):
@@ -384,15 +398,37 @@ def test_write_table_rejects_cells_it_cannot_write_plainly(tmp_path, name):
     for fmt in ("csv", "json", "both"):
         with pytest.raises(error):
             _write_table(str(tmp_path), name, columns, rows, fmt)
-        # No file of the refused table is left behind, not even a header.
-        assert os.listdir(tmp_path) == [], fmt
 
 
-def test_write_table_removes_its_csv_when_the_json_cannot_be_opened(tmp_path):
-    (tmp_path / "t.json").mkdir()
-    with pytest.raises(IsADirectoryError):
-        _write_table(str(tmp_path), "t", ["x"], [(1,)], "both")
-    assert os.listdir(tmp_path) == ["t.json"]
+def snapshot_dir(path):
+    """Every entry of a directory: file name -> bytes."""
+    return {entry.name: entry.read_bytes() for entry in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("name", [*rejected_tables(), "json_cannot_be_opened"])
+def test_refused_write_report_leaves_out_dir_as_it_was(tmp_path, monkeypatch, name):
+    out = tmp_path / "bundle"
+    write_report(run_study(small_config(format="both", seed=0, out_dir=str(out))))
+    before = snapshot_dir(out)
+    report = run_study(small_config(format="both", seed=9, out_dir=str(out)))
+    if name == "json_cannot_be_opened":
+        # A table's JSON file fails to open after its CSV file was written.
+        error = IsADirectoryError
+
+        def fake_open(path, *args, **kwargs):
+            if os.path.basename(path) == "crm.json":
+                raise IsADirectoryError(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr("dtn_tradesim.report.open", fake_open, raising=False)
+    else:
+        # A table written after six others refuses a cell or a column name.
+        error, columns, rows = rejected_tables()[name]
+        monkeypatch.setattr("dtn_tradesim.report._route_rows", lambda report: (columns, rows))
+    with pytest.raises(error):
+        write_report(report)
+    assert snapshot_dir(out) == before
+    assert not [entry for entry in os.listdir(out) if entry.startswith(".staging-")]
 
 
 def run_slices(ext, data):
