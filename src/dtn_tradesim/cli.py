@@ -1,4 +1,9 @@
-"""Command-line harness: run a trade study or validate a configuration."""
+"""Command-line harness: run a trade study or validate a configuration.
+
+Only `run` imports the engine (and numpy), once its config has resolved, so
+`validate`, `--help`, usage errors and refused configs load the standard
+library alone.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,6 @@ from dataclasses import fields
 
 from .config import StudyConfig, config_lines, load_config
 from .errors import ConfigurationError, SimulationFault
-from .report import write_report
-from .study import run_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -78,6 +81,9 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, f.name) is not None
         }
         config = load_config(args.config, overrides)
+        from .report import write_report
+        from .study import run_study
+
         report = run_study(config)
         files = write_report(report)
         print(f"wrote {len(files)} files to {config.out_dir}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields
 
@@ -114,7 +113,7 @@ def parse_config_file(path: str) -> dict[str, object]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -161,5 +160,7 @@ def config_lines(config: StudyConfig) -> list[str]:
 
 def config_hash(config: StudyConfig) -> str:
     """Stable hex digest of the resolved configuration."""
+    import hashlib  # here, not at the top: validating a config needs no digest
+
     text = "\n".join(config_lines(config))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

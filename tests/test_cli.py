@@ -34,6 +34,16 @@ def test_validate_missing_file(capsys):
     assert main(["validate", "--config", "/no/such/file.cfg"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_config_file_not_utf8_is_one_line_config_error(command, tmp_path, capsys):
+    path = tmp_path / "study.cfg"
+    path.write_bytes(b"relay_count=4\n\xff\n")
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config file {path}: ")
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+
 def test_run_small_study(tmp_path, capsys):
     out_dir = str(tmp_path / "report")
     code = main(
