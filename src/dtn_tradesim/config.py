@@ -73,6 +73,8 @@ class StudyConfig:
             )
         if not self.out_dir:
             raise ConfigurationError("out_dir must be a non-empty path, got ''")
+        if not self.out_dir.isprintable():  # it is one line of the manifest
+            raise ConfigurationError(f"out_dir must be a printable path, got {self.out_dir!r}")
         if self.format not in FORMATS:
             raise ConfigurationError(
                 f"format must be one of {', '.join(FORMATS)}, got {self.format!r}"
@@ -113,7 +115,7 @@ def parse_config_file(path: str) -> dict[str, object]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in path, or not UTF-8
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -20,7 +20,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .config import StudyConfig, config_lines
+from . import __version__
+from .config import StudyConfig, config_hash, config_lines
 from .network import GROUND_ID, PROBE_ID, NodeKind
 from .routing import ProtocolKind, Route
 from .simulation import PROTOCOL_ORDER, PacketState
@@ -298,6 +299,9 @@ def _link_rows(report: StudyReport) -> Table:
 def write_report(report: StudyReport) -> list[str]:
     """Write the full bundle into config.out_dir; returns written file names.
 
+    The manifest's header lines (tool version, seed, config hash) and its
+    [config] block are written from report.config.
+
     Every file is written into a staging directory inside out_dir first, so
     a write that raises leaves out_dir as it was.  Then the old manifest is
     removed, the tables are moved in, table files that the old manifest
@@ -338,9 +342,9 @@ def write_report(report: StudyReport) -> list[str]:
         for name, build in tables:
             files += _write_table(staging, name, *build(report), config.format)
         with open(os.path.join(staging, "manifest.txt"), "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"dtn-tradesim {report.provenance['tool_version']}\n")
-            fh.write(f"seed={report.provenance['seed']}\n")
-            fh.write(f"config_hash={report.provenance['config_hash']}\n")
+            fh.write(f"dtn-tradesim {__version__}\n")
+            fh.write(f"seed={config.seed}\n")
+            fh.write(f"config_hash={config_hash(config)}\n")
             fh.write("ranking=" + ">".join(p.value for p in report.ranking) + "\n")
             for reason, named in untested.items():
                 if named:

@@ -8,7 +8,6 @@ A damaged copy keeps routing so its full route and timing stay observable.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,8 +26,6 @@ from .network import (
     reset,
 )
 from .routing import ProtocolKind, Route, next_hop
-
-logger = logging.getLogger(__name__)
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -66,14 +63,14 @@ class PacketRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Per-protocol aggregate over one run's packets.
+    """One protocol's aggregate over one run's packets.
 
+    RunResult.summaries holds one per protocol, keyed by the protocol.
     time_std_hr and time_sem_hr are NaN when the run holds fewer than two
     packets.  crm_hr holds the cumulative running mean of transmission time
     after each successive packet.
     """
 
-    protocol: ProtocolKind
     percent_error: float
     time_mean_hr: float
     time_std_hr: float
@@ -222,7 +219,7 @@ def summarize_protocol_records(
     damaged_counts = np.count_nonzero(damaged, axis=1).tolist()
     root_n = math.sqrt(n)
     return {
-        p: RunSummary(p, 100.0 * c / n, mean, std, std / root_n, crm)
+        p: RunSummary(100.0 * c / n, mean, std, std / root_n, crm)
         for p, c, mean, std, crm in zip(PROTOCOL_ORDER, damaged_counts, means, stds, crms)
     }
 

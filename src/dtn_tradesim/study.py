@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
-from .config import StudyConfig, config_hash
+from .config import StudyConfig
 from .decision import DecisionTable, build_table, practicality_correction, rank
 from .errors import SimulationFault
 from .routing import ProtocolKind, Route, most_frequent_path
@@ -41,7 +40,6 @@ class StudyReport:
     decision_corrected: DecisionTable
     ranking: list[ProtocolKind]
     frequent_routes: list[FrequentRoute]
-    provenance: dict[str, str]
 
 
 # The RunSummary value whose per-run samples make up each StudySummary metric.
@@ -94,11 +92,6 @@ def run_study(config: StudyConfig) -> StudyReport:
             best = most_frequent_path(routes)
             frequent_routes.append(FrequentRoute(i, p, best, routes.count(best)))
 
-    provenance = {
-        "tool_version": __version__,
-        "seed": str(config.seed),
-        "config_hash": config_hash(config),
-    }
     return StudyReport(
         config=config,
         runs=runs,
@@ -108,5 +101,4 @@ def run_study(config: StudyConfig) -> StudyReport:
         decision_corrected=decision_corrected,
         ranking=ranking,
         frequent_routes=frequent_routes,
-        provenance=provenance,
     )

@@ -44,6 +44,14 @@ def test_config_file_not_utf8_is_one_line_config_error(command, tmp_path, capsys
     assert "can't decode byte 0xff" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_nul_in_config_path_is_one_line_config_error(command, capsys):
+    assert main([command, "--config", "a\x00b"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot read config file ")
+    assert "embedded null" in err and err.count("\n") == 1
+
+
 def test_run_small_study(tmp_path, capsys):
     out_dir = str(tmp_path / "report")
     code = main(
@@ -230,6 +238,25 @@ def test_empty_out_dir_is_one_line_config_error(tmp_path, capsys):
         assert main(argv) == EXIT_CONFIG, argv
         err = capsys.readouterr().err
         assert err == "configuration error: out_dir must be a non-empty path, got ''\n", argv
+
+
+def test_unprintable_out_dir_is_one_line_config_error(tmp_path, capsys):
+    # A NUL would reach os.makedirs only after the whole study; a line break
+    # would let the out_dir= line of the manifest forge its [files] block.
+    path = tmp_path / "study.cfg"
+    path.write_text(f"out_dir={tmp_path}/x\x00y\n")
+    broken = str(tmp_path / "D\n[files]\nvictim.csv")
+    for argv in (
+        ["validate", "--config", str(path)],
+        ["run", "--config", str(path), "--runs", "1", "--packets", "2"],
+        ["run", "--out", broken, "--runs", "1", "--packets", "2"],
+    ):
+        assert main(argv) == EXIT_CONFIG, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("configuration error: out_dir must be a printable path, got ")
+        assert captured.err.count("\n") == 1, argv
+        assert os.listdir(tmp_path) == ["study.cfg"], argv
 
 
 def test_derived_long_flags(tmp_path):

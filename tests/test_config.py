@@ -69,6 +69,12 @@ def test_missing_file_is_config_error():
         load_config("/nonexistent/study.cfg")
 
 
+def test_nul_in_config_path_is_config_error():
+    # open() refuses the path with ValueError, not OSError.
+    with pytest.raises(ConfigurationError, match="cannot read config file"):
+        load_config("a\x00b")
+
+
 def test_overrides_beat_file(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text("run_count=5\npacket_count=100\n")
@@ -116,6 +122,10 @@ def test_override_strings_are_converted():
         {"packet_count": -(10**5000)},
         {"format": 10**5000},
         {"out_dir": ""},
+        {"out_dir": "a\x00b"},
+        {"out_dir": "a\nb"},
+        {"out_dir": "a\rb"},
+        {"out_dir": "a\u2028b"},
     ],
 )
 def test_invalid_values_rejected(overrides):

@@ -40,16 +40,18 @@ def test_run_seed_is_pure_function_of_master_and_index():
     assert run_seed(42, 3).spawn_key != run_seed(42, 4).spawn_key
 
 
-def test_run_study_structure():
-    cfg = small_config()
+def test_run_study_structure(tmp_path):
+    cfg = small_config(out_dir=str(tmp_path / "bundle"))
     report = run_study(cfg)
     assert len(report.runs) == cfg.run_count
     assert set(report.study_summary.percent_error) == set(ProtocolKind)
     assert report.ttests is not None
     assert set(report.ranking) == set(ProtocolKind)
     assert len(report.frequent_routes) == cfg.run_count * len(ProtocolKind)
-    assert report.provenance["seed"] == str(cfg.seed)
-    assert len(report.provenance["config_hash"]) == 64
+    write_report(report)
+    header = (tmp_path / "bundle" / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert header[1] == f"seed={cfg.seed}"
+    assert re.fullmatch("config_hash=[0-9a-f]{64}", header[2])
 
 
 def test_run_study_deterministic():
