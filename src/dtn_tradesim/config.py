@@ -110,24 +110,27 @@ def _convert(key: str, value: object, where: str = "") -> object:
 
 
 def parse_config_file(path: str) -> dict[str, object]:
-    """Read a flat key=value file; blank lines and # comments are ignored."""
+    """Read a flat key=value file; blank lines and # comments are ignored.
+
+    Every error message names the file as given, or by its repr when that is
+    not printable (a line break or a NUL), so the message stays one line.
+    """
     values: dict[str, object] = {}
+    shown = path if path.isprintable() else repr(path)
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in path, or not UTF-8
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read config file {shown}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigurationError(
-                f"{path}:{lineno}: expected key=value, got {line!r}"
-            )
+            raise ConfigurationError(f"{shown}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        values[key] = _convert(key, value.strip(), f"{path}:{lineno}: ")
+        values[key] = _convert(key, value.strip(), f"{shown}:{lineno}: ")
     return values
 
 

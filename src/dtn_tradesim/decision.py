@@ -24,7 +24,8 @@ class SwingWeights:
 
 @dataclass(frozen=True)
 class DecisionRow:
-    protocol: ProtocolKind
+    """One protocol's metric means, attribute values and score (MAVF)."""
+
     percent_error_mean: float
     transmission_time_mean: float
     v_percent_error: float
@@ -34,14 +35,13 @@ class DecisionRow:
 
 @dataclass(frozen=True)
 class DecisionTable:
-    rows: tuple[DecisionRow, ...]
+    """The scored rows, keyed by protocol in ProtocolKind order, and the weights."""
+
+    rows: dict[ProtocolKind, DecisionRow]
     weights: SwingWeights
 
     def row(self, protocol: ProtocolKind) -> DecisionRow:
-        for r in self.rows:
-            if r.protocol is protocol:
-                return r
-        raise KeyError(protocol)
+        return self.rows[protocol]
 
 
 def value_linear(x: float, worst: float, best: float) -> float:
@@ -83,23 +83,20 @@ def build_table(
         raise ValueError("metric maps must cover the same non-empty protocol set")
     pe_worst, pe_best = max(percent_error.values()), min(percent_error.values())
     tt_worst, tt_best = max(transmission_time.values()), min(transmission_time.values())
-    rows = []
+    rows = {}
     for p in ProtocolKind:
         if p not in percent_error:
             continue
         v_pe = _value(percent_error[p], pe_worst, pe_best)
         v_tt = _value(transmission_time[p], tt_worst, tt_best)
-        rows.append(
-            DecisionRow(
-                protocol=p,
-                percent_error_mean=percent_error[p],
-                transmission_time_mean=transmission_time[p],
-                v_percent_error=v_pe,
-                v_transmission_time=v_tt,
-                mavf=mavf_score(v_pe, v_tt, weights),
-            )
+        rows[p] = DecisionRow(
+            percent_error_mean=percent_error[p],
+            transmission_time_mean=transmission_time[p],
+            v_percent_error=v_pe,
+            v_transmission_time=v_tt,
+            mavf=mavf_score(v_pe, v_tt, weights),
         )
-    return DecisionTable(rows=tuple(rows), weights=weights)
+    return DecisionTable(rows=rows, weights=weights)
 
 
 def practicality_correction(
@@ -113,24 +110,16 @@ def practicality_correction(
     the baseline itself and anything at least as reliable stay untouched.
     """
     base_pe = table.row(baseline).percent_error_mean
-    rows = []
-    for r in table.rows:
-        if r.protocol is not baseline and r.percent_error_mean > base_pe:
-            rows.append(
-                replace(
-                    r,
-                    v_transmission_time=0.0,
-                    mavf=mavf_score(r.v_percent_error, 0.0, table.weights),
-                )
+    rows = dict(table.rows)
+    for p, r in table.rows.items():
+        if p is not baseline and r.percent_error_mean > base_pe:
+            rows[p] = replace(
+                r, v_transmission_time=0.0, mavf=mavf_score(r.v_percent_error, 0.0, table.weights)
             )
-        else:
-            rows.append(r)
-    return DecisionTable(rows=tuple(rows), weights=table.weights)
+    return DecisionTable(rows=rows, weights=table.weights)
 
 
 def rank(table: DecisionTable) -> list[ProtocolKind]:
     """Protocols ordered by descending score; ties favor lower percent error."""
-    ordered = sorted(
-        table.rows, key=lambda r: (-r.mavf, r.percent_error_mean, r.protocol.value)
-    )
-    return [r.protocol for r in ordered]
+    rows = table.rows
+    return sorted(rows, key=lambda p: (-rows[p].mavf, rows[p].percent_error_mean, p.value))

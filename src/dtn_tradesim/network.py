@@ -97,7 +97,9 @@ class NetworkState:
     those layers.  Every writer of the defaults writes both triangles, and
     perturb reads both.  The read-only floor stack of perturb (see
     _clamp_floor) is fetched when the network is built, so min_coord_km is
-    read once, there; nothing writes it afterwards.
+    read once, there; nothing writes it afterwards.  fallback_warned holds
+    the (node, destination) pairs for which greedy forwarding has already
+    logged its direct-hop fallback on this network.
     """
 
     probe_id = PROBE_ID
@@ -115,6 +117,7 @@ class NetworkState:
         self._current = np.zeros((2, n, n))
         self.default_quality, self.default_distance = self._defaults
         self.current_quality, self.current_distance = self._current
+        self.fallback_warned: set[tuple[int, int]] = set()
 
 
 def build_network(

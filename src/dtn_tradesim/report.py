@@ -25,7 +25,7 @@ from .config import StudyConfig, config_hash, config_lines
 from .network import GROUND_ID, PROBE_ID, NodeKind
 from .routing import ProtocolKind, Route
 from .simulation import PROTOCOL_ORDER, PacketState
-from .stats import NO_TEST_REASONS, PROTOCOL_PAIRS, no_test_reason
+from .stats import NO_TEST_REASONS, no_test_reason
 from .study import StudyReport
 
 # Column names, then the rows: one value tuple per row, in column order.
@@ -223,10 +223,10 @@ def _study_rows(report: StudyReport) -> Table:
 
 
 def _ttest_cells(report: StudyReport):
-    """(metric, a, b, result) for each unordered protocol pair, in table order."""
+    """(metric, a, b, result) for each stored Welch test, in table order."""
     for metric, entries in report.ttests.items():
-        for a, b in PROTOCOL_PAIRS:
-            yield metric, a, b, entries[(a, b)]
+        for (a, b), result in entries.items():
+            yield metric, a, b, result
 
 
 def _ttest_rows(report: StudyReport) -> Table:

@@ -259,7 +259,8 @@ def _bundle_next_hop(network: NetworkState, current: int, dst: int) -> int:
     build-time geometry (dst itself counts, at distance zero); judging
     progress against the fixed geometry keeps every route loop-free.  From
     the probe the direct hop to the ground station is excluded whenever
-    relays exist.  An empty candidate set falls back to dst.
+    relays exist.  An empty candidate set falls back to dst; that depends
+    on the geometry alone, so it is logged once per network, node and dst.
     """
     to_dst = network.default_distance[dst].tolist()  # diagonal: 0.0 at dst
     quality = network.current_quality[current].tolist()
@@ -274,12 +275,14 @@ def _bundle_next_hop(network: NetworkState, current: int, dst: int) -> int:
             best_q = quality[v]
             best = v
     if best < 0:
-        logger.warning(
-            "degenerate topology: no forward candidate from node %d toward %d, "
-            "falling back to the direct hop",
-            current,
-            dst,
-        )
+        if (current, dst) not in network.fallback_warned:
+            network.fallback_warned.add((current, dst))
+            logger.warning(
+                "degenerate topology: no forward candidate from node %d toward %d, "
+                "falling back to the direct hop",
+                current,
+                dst,
+            )
         return dst
     return best
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -181,24 +181,21 @@ class StudySummary:
 # Each unordered protocol pair once, in the order the t-test table lists them.
 PROTOCOL_PAIRS = tuple(itertools.combinations(ProtocolKind, 2))
 
+# Per metric, the Welch test of each unordered pair (a, b), in PROTOCOL_PAIRS order.
 PairwiseTests = dict[str, dict[tuple[ProtocolKind, ProtocolKind], TTestResult]]
 
 
 def significance_matrix(study: StudySummary) -> PairwiseTests:
-    """Welch tests for every ordered protocol pair on both metrics.
+    """Welch tests for every unordered protocol pair on both metrics.
 
-    Both orientations of each pair are present: the reverse cell negates t
-    and keeps df and p, exactly as welch_t would give them.  A protocol is
-    never tested against itself.  A pair with no test (no_test_reason) holds
-    NaN for t, df and p and is not significant.
+    Each pair (a, b) of PROTOCOL_PAIRS is tested once, as welch_t(a, b);
+    the reverse orientation is that test with t negated and the same df
+    and p, so it is not stored.  A protocol is never tested against itself.
+    A pair with no test (no_test_reason) holds NaN for t, df and p and is
+    not significant.
     """
     out: PairwiseTests = {}
     for metric in fields(study):
         cells = getattr(study, metric.name)
-        entries: dict[tuple[ProtocolKind, ProtocolKind], TTestResult] = {}
-        for a, b in PROTOCOL_PAIRS:
-            result = welch_t(cells[a], cells[b])
-            entries[(a, b)] = result
-            entries[(b, a)] = replace(result, t=-result.t)
-        out[metric.name] = entries
+        out[metric.name] = {(a, b): welch_t(cells[a], cells[b]) for a, b in PROTOCOL_PAIRS}
     return out

@@ -52,6 +52,30 @@ def test_nul_in_config_path_is_one_line_config_error(command, capsys):
     assert "embedded null" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "name, text",
+    [("missing\nfile.cfg", None), ("a\nb.cfg", "relay_count=4\nbogus line\n"), ("a\x00b.cfg", None)],
+)
+def test_unprintable_config_path_is_one_line_config_error(
+    command, name, text, tmp_path, monkeypatch, capsys
+):
+    # The path is shown by its repr, so a line break or NUL in it stays quoted.
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    assert main([command, "--config", name]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "\x00" not in captured.err
+    if text is None:
+        assert captured.err.startswith(f"configuration error: cannot read config file {name!r}: ")
+    else:
+        assert captured.err.startswith(f"configuration error: {name!r}:2: expected key=value")
+    assert os.listdir(tmp_path) == ([] if text is None else [name])
+
+
 def test_run_small_study(tmp_path, capsys):
     out_dir = str(tmp_path / "report")
     code = main(

@@ -76,8 +76,9 @@ def test_build_table_reference_case():
         D: (0.0, 1.0, 0.166667),
         Q: (1.0, 0.672774, 0.945462),
     }
-    for row in table.rows:
-        v_pe, v_tt, mavf = want[row.protocol]
+    assert list(table.rows) == [B, D, Q]
+    for p, row in table.rows.items():
+        v_pe, v_tt, mavf = want[p]
         assert row.v_percent_error == pytest.approx(v_pe, abs=1e-3)
         assert row.v_transmission_time == pytest.approx(v_tt, abs=1e-3)
         assert row.mavf == pytest.approx(mavf, abs=1e-3)
@@ -85,7 +86,7 @@ def test_build_table_reference_case():
 
 def test_build_table_tied_metric_scores_one():
     table = build_table(PE_MEANS, {B: 1.5, D: 1.5, Q: 1.5})
-    assert [row.v_transmission_time for row in table.rows] == [1.0, 1.0, 1.0]
+    assert [row.v_transmission_time for row in table.rows.values()] == [1.0, 1.0, 1.0]
     assert table.row(Q).v_percent_error == 1.0
     assert table.row(D).v_percent_error == 0.0
 
@@ -119,7 +120,7 @@ def test_practicality_correction_baseline_defaults_to_bundle():
     table = build_table({B: 50.0, D: 60.0, Q: 40.0}, {B: 2.0, D: 1.0, Q: 3.0})
     corrected = practicality_correction(table)
     assert corrected == practicality_correction(table, baseline=B)
-    assert [r.v_transmission_time for r in corrected.rows] == [0.5, 0.0, 0.0]
+    assert [r.v_transmission_time for r in corrected.rows.values()] == [0.5, 0.0, 0.0]
     for other in (D, Q):
         assert corrected != practicality_correction(table, baseline=other)
 
@@ -141,10 +142,10 @@ def test_rank_reference_case():
 
 def test_rank_tie_prefers_lower_percent_error():
     w = SwingWeights()
-    rows = (
-        DecisionRow(B, percent_error_mean=60.0, transmission_time_mean=1.0,
-                    v_percent_error=0.5, v_transmission_time=0.5, mavf=0.5),
-        DecisionRow(D, percent_error_mean=55.0, transmission_time_mean=2.0,
-                    v_percent_error=0.5, v_transmission_time=0.5, mavf=0.5),
-    )
+    rows = {
+        B: DecisionRow(percent_error_mean=60.0, transmission_time_mean=1.0,
+                       v_percent_error=0.5, v_transmission_time=0.5, mavf=0.5),
+        D: DecisionRow(percent_error_mean=55.0, transmission_time_mean=2.0,
+                       v_percent_error=0.5, v_transmission_time=0.5, mavf=0.5),
+    }
     assert rank(DecisionTable(rows=rows, weights=w)) == [D, B]
