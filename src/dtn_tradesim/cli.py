@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import fields
 
@@ -81,6 +82,8 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, f.name) is not None
         }
         config = load_config(args.config, overrides)
+        # An out_dir that cannot be a directory fails here, before any run.
+        os.makedirs(config.out_dir, exist_ok=True)
         from .report import write_report
         from .study import run_study
 

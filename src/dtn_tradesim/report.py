@@ -195,9 +195,8 @@ def _run_rows(report: StudyReport) -> Table:
     for i, run in enumerate(report.runs):
         for p in ProtocolKind:
             s = run.summaries[p]
-            rows.append(
-                (i, p.value, s.percent_error, s.time_mean_hr, s.time_std_hr, s.time_sem_hr)
-            )
+            t = s.time_hr
+            rows.append((i, p.value, s.percent_error, t.mean, t.std, t.sem))
     return columns, rows
 
 
@@ -263,8 +262,9 @@ def _decision_rows(report: StudyReport) -> Table:
 def _route_rows(report: StudyReport) -> Table:
     columns = ["run", "protocol", "route", "frequency"]
     rows = [
-        (f.run_index, f.protocol.value, route_text(f.route), f.frequency)
-        for f in report.frequent_routes
+        (i, p.value, route_text(route), frequency)
+        for i, run_routes in enumerate(report.frequent_routes)
+        for p, (route, frequency) in run_routes.items()
     ]
     return columns, rows
 

@@ -314,9 +314,9 @@ def next_hop(
     return _search(network, kind, current, dst)
 
 
-def most_frequent_path(routes: Iterable[Sequence[int]]) -> Route:
-    """Most common route in the collection; ties keep the first seen."""
+def most_frequent_path(routes: Iterable[Sequence[int]]) -> tuple[Route, int]:
+    """Most common route in the collection and its count; ties keep the first seen."""
     best = Counter(map(tuple, routes)).most_common(1)
     if not best:
         raise ValueError("route collection is empty")
-    return best[0][0]
+    return best[0]

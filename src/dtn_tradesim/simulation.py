@@ -8,7 +8,6 @@ A damaged copy keeps routing so its full route and timing stay observable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -26,6 +25,7 @@ from .network import (
     reset,
 )
 from .routing import ProtocolKind, Route, next_hop
+from .stats import SummaryStats, summarize
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -66,15 +66,14 @@ class RunSummary:
     """One protocol's aggregate over one run's packets.
 
     RunResult.summaries holds one per protocol, keyed by the protocol.
-    time_std_hr and time_sem_hr are NaN when the run holds fewer than two
-    packets.  crm_hr holds the cumulative running mean of transmission time
-    after each successive packet.
+    time_hr summarizes the packets' transmission times; its std and sem
+    are NaN when the run holds fewer than two packets.  crm_hr holds the
+    cumulative running mean of transmission time after each successive
+    packet.
     """
 
     percent_error: float
-    time_mean_hr: float
-    time_std_hr: float
-    time_sem_hr: float
+    time_hr: SummaryStats
     crm_hr: np.ndarray = field(repr=False)
 
 
@@ -202,25 +201,18 @@ def summarize_protocol_records(
     """Fold a run's time and damage columns into one RunSummary per protocol.
 
     The columns are (len(PROTOCOL_ORDER), packet_count) arrays, row j for
-    PROTOCOL_ORDER[j], as in RunResult.  Each statistic is one call along
-    the packet axis, which sums every row as the call on that row alone
-    would, so the values equal the per-row np.mean, np.std(ddof=1) and
-    cumulative_running_mean bit for bit.  With one packet the std and the
-    sem are NaN.
+    PROTOCOL_ORDER[j], as in RunResult.  The times are summarized by
+    stats.summarize and their running means by cumulative_running_mean,
+    each one call along the packet axis, so every row's values equal those
+    of the calls on that row alone bit for bit.
     Times that overflowed give an inf or NaN statistic without a warning.
     """
     n = times_hr.shape[1]
-    means = np.mean(times_hr, axis=1).tolist()
-    if n > 1:
-        stds = np.std(times_hr, axis=1, ddof=1).tolist()
-    else:
-        stds = [math.nan] * len(times_hr)
     crms = cumulative_running_mean(times_hr)
     damaged_counts = np.count_nonzero(damaged, axis=1).tolist()
-    root_n = math.sqrt(n)
     return {
-        p: RunSummary(100.0 * c / n, mean, std, std / root_n, crm)
-        for p, c, mean, std, crm in zip(PROTOCOL_ORDER, damaged_counts, means, stds, crms)
+        p: RunSummary(100.0 * c / n, time_hr, crm)
+        for p, c, time_hr, crm in zip(PROTOCOL_ORDER, damaged_counts, summarize(times_hr), crms)
     }
 
 

@@ -41,13 +41,22 @@ class SummaryStats:
         return self.std / math.sqrt(self.n)
 
 
-def summarize(samples) -> SummaryStats:
-    """Summary statistics of a non-empty sample; one value has no spread (NaN std)."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least 1 sample, got 0")
-    std = float(np.std(arr, ddof=1)) if arr.size > 1 else math.nan
-    return SummaryStats(mean=float(np.mean(arr)), std=std, n=int(arr.size))
+@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or NaN, unwarned
+def summarize(rows) -> list[SummaryStats]:
+    """One SummaryStats per row of a (rows, n) array of samples.
+
+    Each statistic is one call along the last axis, which sums every row as
+    the call on that row alone would, so the values equal the per-row
+    np.mean and np.std(ddof=1) bit for bit.  One sample has no spread (NaN
+    std); n = 0 raises ValueError.
+    """
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise ValueError(f"need a (rows, n) array with n >= 1, got shape {arr.shape}")
+    n = arr.shape[1]
+    means = np.mean(arr, axis=1).tolist()
+    stds = np.std(arr, axis=1, ddof=1).tolist() if n > 1 else [math.nan] * len(means)
+    return [SummaryStats(mean, std, n) for mean, std in zip(means, stds)]
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -118,10 +127,16 @@ def student_t_upper_tail(t: float, df: float) -> float:
 
 @dataclass(frozen=True)
 class TTestResult:
+    """One Welch test: t, degrees of freedom and one-tailed p."""
+
     t: float
     df: float
     p: float
-    significant: bool
+
+    @property
+    def significant(self) -> bool:
+        """p < SIGNIFICANCE_LEVEL; a NaN p (no test) is not significant."""
+        return self.p < SIGNIFICANCE_LEVEL
 
 
 # Why two samples have no Welch test, checked in this order (no_test_reason).
@@ -158,7 +173,7 @@ def welch_t(s1: SummaryStats, s2: SummaryStats) -> TTestResult:
     scale is 1.0, which divides exactly.
     """
     if no_test_reason(s1, s2) is not None:
-        return TTestResult(math.nan, math.nan, math.nan, False)
+        return TTestResult(math.nan, math.nan, math.nan)
     larger = max(s1.std, s2.std)
     scale = 1.0 if _PLAIN_STD[0] <= larger <= _PLAIN_STD[1] else larger
     v1 = (s1.std / scale) ** 2 / s1.n
@@ -167,7 +182,7 @@ def welch_t(s1: SummaryStats, s2: SummaryStats) -> TTestResult:
     t = (s1.mean - s2.mean) / scale / math.sqrt(pooled)
     df = pooled**2 / (v1**2 / (s1.n - 1) + v2**2 / (s2.n - 1))
     p = student_t_upper_tail(abs(t), df)
-    return TTestResult(t=t, df=df, p=p, significant=p < SIGNIFICANCE_LEVEL)
+    return TTestResult(t=t, df=df, p=p)
 
 
 @dataclass(frozen=True)

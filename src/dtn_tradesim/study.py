@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -22,16 +23,14 @@ def run_seed(master_seed: int, run_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(run_index,))
 
 
-@dataclass(frozen=True)
-class FrequentRoute:
-    run_index: int
-    protocol: ProtocolKind
-    route: Route
-    frequency: int
-
-
 @dataclass
 class StudyReport:
+    """A finished study: its runs and everything computed from them.
+
+    frequent_routes holds one dict per run, keyed like RunResult.summaries,
+    of each protocol's most frequent route and its packet count.
+    """
+
     config: StudyConfig
     runs: list[RunResult]
     study_summary: StudySummary
@@ -39,24 +38,24 @@ class StudyReport:
     decision_raw: DecisionTable
     decision_corrected: DecisionTable
     ranking: list[ProtocolKind]
-    frequent_routes: list[FrequentRoute]
+    frequent_routes: list[dict[ProtocolKind, tuple[Route, int]]]
 
 
-# The RunSummary value whose per-run samples make up each StudySummary metric.
-RUN_VALUE_OF_METRIC = {"percent_error": "percent_error", "transmission_time": "time_mean_hr"}
+# Reads the RunSummary value whose per-run samples make up each StudySummary metric.
+RUN_VALUE_OF_METRIC = {
+    "percent_error": attrgetter("percent_error"),
+    "transmission_time": attrgetter("time_hr.mean"),
+}
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow gives inf or NaN, unwarned
 def _study_summary(runs: list[RunResult]) -> StudySummary:
-    return StudySummary(
-        **{
-            metric: {
-                p: summarize([getattr(run.summaries[p], value) for run in runs])
-                for p in ProtocolKind
-            }
-            for metric, value in RUN_VALUE_OF_METRIC.items()
-        }
-    )
+    """Each metric summarized by one stats.summarize call over a (protocol, run) array."""
+
+    def per_protocol(value):
+        rows = [[value(run.summaries[p]) for run in runs] for p in PROTOCOL_ORDER]
+        return dict(zip(PROTOCOL_ORDER, summarize(rows)))
+
+    return StudySummary(**{m: per_protocol(v) for m, v in RUN_VALUE_OF_METRIC.items()})
 
 
 def run_study(config: StudyConfig) -> StudyReport:
@@ -86,11 +85,10 @@ def run_study(config: StudyConfig) -> StudyReport:
     decision_corrected = practicality_correction(decision_raw)
     ranking = rank(decision_corrected)
 
-    frequent_routes = []
-    for i, run in enumerate(runs):
-        for p, routes in zip(PROTOCOL_ORDER, run.routes):
-            best = most_frequent_path(routes)
-            frequent_routes.append(FrequentRoute(i, p, best, routes.count(best)))
+    frequent_routes = [
+        {p: most_frequent_path(routes) for p, routes in zip(PROTOCOL_ORDER, run.routes)}
+        for run in runs
+    ]
 
     return StudyReport(
         config=config,

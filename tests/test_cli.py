@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 import dtn_tradesim.simulation as simulation
+import dtn_tradesim.study as study
 from dtn_tradesim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
 
 
@@ -127,6 +128,21 @@ def test_run_output_collision_is_io_error(tmp_path, capsys):
     )
     assert code == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_out_dir_that_cannot_be_a_directory_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    # A study's work is not spent on a bundle that cannot be written.
+    def no_run(*args):
+        raise AssertionError("run_simulation called")
+
+    monkeypatch.setattr(study, "run_simulation", no_run)
+    blocker = tmp_path / "report"
+    blocker.write_text("a file, not a directory")
+    code = main(["run", "--runs", "3", "--packets", "5", "--out", str(blocker)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert blocker.read_text() == "a file, not a directory"
 
 
 def test_run_too_large_for_memory_is_simulation_exit(tmp_path, capsys):

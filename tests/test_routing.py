@@ -630,15 +630,15 @@ def test_bundle_route_monotone_progress_under_perturbation():
 
 def test_most_frequent_path_majority():
     routes = [(0, 2, 1), (0, 3, 1), (0, 2, 1), (0, 2, 1), (0, 3, 1)]
-    assert most_frequent_path(routes) == (0, 2, 1)
+    assert most_frequent_path(routes) == ((0, 2, 1), 3)
 
 
 def test_most_frequent_path_singleton():
-    assert most_frequent_path([(0, 1)]) == (0, 1)
+    assert most_frequent_path([(0, 1)]) == ((0, 1), 1)
 
 
 def test_most_frequent_path_tie_keeps_first_seen():
-    assert most_frequent_path([(0, 3, 1), (0, 2, 1), (0, 2, 1), (0, 3, 1)]) == (0, 3, 1)
+    assert most_frequent_path([(0, 3, 1), (0, 2, 1), (0, 2, 1), (0, 3, 1)]) == ((0, 3, 1), 2)
 
 
 def test_most_frequent_path_rejects_empty():

@@ -20,6 +20,7 @@ from dtn_tradesim.network import (
 )
 from dtn_tradesim.config import StudyConfig
 from dtn_tradesim.routing import ProtocolKind, dijkstra_path, next_hop
+from dtn_tradesim.stats import summarize
 from dtn_tradesim.simulation import (
     PROTOCOL_ORDER,
     PacketRecord,
@@ -327,22 +328,24 @@ def test_percent_error_is_damaged_share():
 def test_run_summary_sem_definition():
     times = list(rng(7).normal(1.5, 0.2, size=400))
     for summary in summarize_protocol_records(*make_columns(times, (10, 10, 10))).values():
-        assert summary.time_sem_hr == pytest.approx(summary.time_std_hr / math.sqrt(400))
+        assert summary.time_hr.sem == pytest.approx(summary.time_hr.std / math.sqrt(400))
         assert np.allclose(summary.crm_hr, cumulative_running_mean(times))
 
 
 def test_single_packet_run_has_undefined_spread():
     for summary in summarize_protocol_records(*make_columns([1.2], (0, 0, 0))).values():
-        assert summary.time_mean_hr == pytest.approx(1.2)
-        assert math.isnan(summary.time_std_hr)
-        assert math.isnan(summary.time_sem_hr)
+        assert summary.time_hr.mean == pytest.approx(1.2)
+        assert math.isnan(summary.time_hr.std)
+        assert math.isnan(summary.time_hr.sem)
 
 
-@pytest.mark.parametrize("packets", [1, 2, 7, 8, 9, 128, 129])
+@pytest.mark.parametrize("packets", [1, 2, 7, 8, 9, 128, 129, 200])
 def test_summaries_equal_per_row_numpy_calls_bit_for_bit(packets):
     # One call along the packet axis must sum each row as the 1-D call does.
     # The sizes straddle numpy's pairwise-sum blocks (8-way unrolling, blocks
-    # of 128); at one packet the std is NaN.
+    # of 128); at one packet the std is NaN.  200 is the run count of the
+    # many-runs benchmark, whose study summaries stats.summarize computes
+    # from (protocol, run) arrays the same way.
     r = rng(packets)
     for scale in (1.0, 1e-3, 1e6):
         times = r.lognormal(0.0, 1.0, size=(len(PROTOCOL_ORDER), packets)) * scale
@@ -350,13 +353,16 @@ def test_summaries_equal_per_row_numpy_calls_bit_for_bit(packets):
         summaries = summarize_protocol_records(times, damaged)
         for row, d, p in zip(times, damaged, PROTOCOL_ORDER):
             s = summaries[p]
-            assert s.time_mean_hr == float(np.mean(row))
+            [alone] = summarize(row[None, :])
+            assert s.time_hr.mean == alone.mean == float(np.mean(row))
+            assert s.time_hr.n == alone.n == packets
             if packets == 1:
-                assert math.isnan(s.time_std_hr) and math.isnan(s.time_sem_hr)
+                assert math.isnan(s.time_hr.std) and math.isnan(s.time_hr.sem)
+                assert math.isnan(alone.std)
             else:
                 std = float(np.std(row, ddof=1))
-                assert s.time_std_hr == std
-                assert s.time_sem_hr == std / math.sqrt(packets)
+                assert s.time_hr.std == alone.std == std
+                assert s.time_hr.sem == std / math.sqrt(packets)
             assert s.crm_hr.tolist() == (np.cumsum(row) / np.arange(1, packets + 1)).tolist()
             assert s.percent_error == 100.0 * int(np.count_nonzero(d)) / packets
 
@@ -374,7 +380,7 @@ def test_run_simulation_deterministic():
     assert a.records == b.records
     for p in ProtocolKind:
         assert a.summaries[p].percent_error == b.summaries[p].percent_error
-        assert a.summaries[p].time_mean_hr == b.summaries[p].time_mean_hr
+        assert a.summaries[p].time_hr == b.summaries[p].time_hr
 
 
 def test_run_simulation_resets_between_packets():
@@ -434,6 +440,6 @@ def test_run_simulation_summary_counts():
     for p in ProtocolKind:
         s = result.summaries[p]
         assert 0.0 <= s.percent_error <= 100.0
-        assert s.time_mean_hr >= STRAIGHT_LINE_HOURS - 1e-12
+        assert s.time_hr.mean >= STRAIGHT_LINE_HOURS - 1e-12
         assert len(s.crm_hr) == cfg.packet_count
-        assert s.crm_hr[-1] == pytest.approx(s.time_mean_hr)
+        assert s.crm_hr[-1] == pytest.approx(s.time_hr.mean)

@@ -12,8 +12,10 @@ from dtn_tradesim.routing import ProtocolKind
 from dtn_tradesim.stats import (
     NO_TEST_REASONS,
     PROTOCOL_PAIRS,
+    SIGNIFICANCE_LEVEL,
     StudySummary,
     SummaryStats,
+    TTestResult,
     regularized_incomplete_beta,
     no_test_reason,
     significance_matrix,
@@ -30,7 +32,7 @@ TT_REF = {B: SummaryStats(3.120, 0.684, 5), D: SummaryStats(1.189, 0.004, 5), Q:
 
 
 def test_summarize_basic_example():
-    s = summarize([1.0, 2.0, 3.0])
+    [s] = summarize([[1.0, 2.0, 3.0]])
     assert s.mean == pytest.approx(2.0)
     assert s.std == pytest.approx(1.0)
     assert s.n == 3
@@ -39,20 +41,26 @@ def test_summarize_basic_example():
 
 def test_summarize_constant_sample():
     # binary-exact constant, so the spread comes out exactly zero
-    s = summarize([4.25] * 10)
+    [s] = summarize([[4.25] * 10])
     assert s.mean == 4.25
     assert s.std == 0.0
 
 
 def test_summarize_one_value_has_nan_std():
-    s = summarize([2.5])
+    [s] = summarize([[2.5]])
     assert (s.mean, s.n) == (2.5, 1)
     assert math.isnan(s.std) and math.isnan(s.sem)
 
 
 def test_summarize_requires_a_value():
     with pytest.raises(ValueError):
-        summarize([])
+        summarize([[]])
+
+
+@pytest.mark.parametrize("rows", [[], [[], []], [1.0, 2.0], [[[1.0, 2.0]]]])
+def test_summarize_requires_a_2d_array(rows):
+    with pytest.raises(ValueError):
+        summarize(rows)
 
 
 def test_sem_reference_value():
@@ -132,6 +140,16 @@ def test_welch_equal_summaries():
     assert r.t == 0.0
     assert r.p == pytest.approx(0.5)
     assert not r.significant
+
+
+def test_significant_is_p_below_the_level():
+    # The boundary p itself is not significant; the next float below it is.
+    assert TTestResult(1.0, 4.0, SIGNIFICANCE_LEVEL).significant is False
+    assert TTestResult(1.0, 4.0, math.nextafter(SIGNIFICANCE_LEVEL, 0)).significant is True
+    assert TTestResult(math.nan, math.nan, math.nan).significant is False
+    # A Python bool, which the table writer takes; it refuses numpy bools.
+    for s1, s2 in itertools.combinations([*PE_REF.values(), *TT_REF.values()], 2):
+        assert type(welch_t(s1, s2).significant) is bool
 
 
 def is_nan_cell(r):

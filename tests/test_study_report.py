@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -47,7 +48,12 @@ def test_run_study_structure(tmp_path):
     assert set(report.study_summary.percent_error) == set(ProtocolKind)
     assert report.ttests is not None
     assert set(report.ranking) == set(ProtocolKind)
-    assert len(report.frequent_routes) == cfg.run_count * len(ProtocolKind)
+    assert len(report.frequent_routes) == cfg.run_count
+    for run, frequent in zip(report.runs, report.frequent_routes):
+        assert list(frequent) == list(run.summaries) == list(ProtocolKind)
+        for p, (route, frequency) in frequent.items():
+            routes = run.routes[list(ProtocolKind).index(p)]
+            assert routes.count(route) == frequency == max(map(routes.count, routes))
     write_report(report)
     header = (tmp_path / "bundle" / "manifest.txt").read_text(encoding="utf-8").splitlines()
     assert header[1] == f"seed={cfg.seed}"
@@ -68,7 +74,7 @@ def test_study_means_equal_mean_of_run_values():
     report = run_study(small_config())
     for p in ProtocolKind:
         run_pe = [run.summaries[p].percent_error for run in report.runs]
-        run_tt = [run.summaries[p].time_mean_hr for run in report.runs]
+        run_tt = [run.summaries[p].time_hr.mean for run in report.runs]
         assert report.study_summary.percent_error[p].mean == pytest.approx(
             sum(run_pe) / len(run_pe), rel=1e-12
         )
@@ -102,6 +108,63 @@ def expected_headers():
         "network_nodes.csv": ["run", "node_id", "kind", "x_km", "y_km"],
         "network_links.csv": ["run", "node_a", "node_b", "default_distance_km", "default_quality"],
     }
+
+
+def summary_text(samples):
+    """(mean, std, sem) of a 1-D sample as table text; one sample has NaN spread."""
+    n = len(samples)
+    std = float(np.std(samples, ddof=1)) if n > 1 else math.nan
+    return [repr(float(np.mean(samples))), repr(std), repr(std / math.sqrt(n))]
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        dict(relay_count=4, sigma_frac=0.6, run_count=3, packet_count=40),
+        dict(relay_count=20, run_count=3, packet_count=40),
+        dict(run_count=1, packet_count=1),
+    ],
+    ids=["4_relays_sigma_0.6", "20_relays", "one_packet"],
+)
+def test_aggregate_tables_recompute_from_packets_csv(keys, tmp_path):
+    # The report's promise: every aggregate cell follows from the raw
+    # per-packet rows, here with plain 1-D numpy calls and a Counter.
+    write_report(run_study(StudyConfig(seed=3, out_dir=str(tmp_path), **keys)))
+    times, damaged, routes = {}, {}, {}
+    for run, _, protocol, state, time_hr, route in read_csv(tmp_path / "packets.csv")[1:]:
+        key = (int(run), protocol)
+        times.setdefault(key, []).append(float(time_hr))
+        damaged.setdefault(key, []).append(state == "damaged")
+        routes.setdefault(key, []).append(route)
+    runs = range(keys["run_count"])
+    names = [p.value for p in ProtocolKind]
+
+    run_rows, crm_rows, route_rows = [], [], []
+    per_run = {"percent_error": {}, "transmission_time": {}}
+    for i in runs:
+        for name in names:
+            t = times[(i, name)]
+            percent_error = 100.0 * sum(damaged[(i, name)]) / len(t)
+            per_run["percent_error"].setdefault(name, []).append(percent_error)
+            per_run["transmission_time"].setdefault(name, []).append(float(np.mean(t)))
+            run_rows.append([str(i), name, repr(percent_error), *summary_text(t)])
+            crm = (np.cumsum(t) / np.arange(1, len(t) + 1)).tolist()
+            crm_rows += [[str(i), name, str(k), repr(c)] for k, c in enumerate(crm, 1)]
+            [(route, frequency)] = Counter(routes[(i, name)]).most_common(1)
+            route_rows.append([str(i), name, route, str(frequency)])
+    study_rows = [
+        [name, metric, *summary_text(values[name]), str(len(runs))]
+        for metric, values in per_run.items()
+        for name in names
+    ]
+
+    for table, rows in [
+        ("runs", run_rows),
+        ("crm", crm_rows),
+        ("study_summary", study_rows),
+        ("frequent_routes", route_rows),
+    ]:
+        assert read_csv(tmp_path / f"{table}.csv")[1:] == rows, table
 
 
 def test_write_report_csv_bundle(tmp_path):
