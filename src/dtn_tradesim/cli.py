@@ -11,9 +11,8 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import fields
 
-from .config import StudyConfig, config_lines, load_config
+from .config import DEFAULTS, config_lines, load_config
 from .errors import ConfigurationError, SimulationFault
 
 EXIT_OK = 0
@@ -53,8 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a study and write the report bundle")
     run.add_argument("--config", help="flat key=value config file")
     # One flag per config key, read as a string and converted by load_config.
-    for line in config_lines(StudyConfig()):
-        key, _, default = line.partition("=")
+    for key, default in DEFAULTS.items():
         flags = ["--" + key.replace("_", "-")]
         if key in _ALIASES:
             flags.append(_ALIASES[key])
@@ -76,11 +74,7 @@ def main(argv: list[str] | None = None) -> int:
             print("ok")
             return EXIT_OK
 
-        overrides = {
-            f.name: getattr(args, f.name)
-            for f in fields(StudyConfig)
-            if getattr(args, f.name) is not None
-        }
+        overrides = {key: getattr(args, key) for key in DEFAULTS if getattr(args, key) is not None}
         config = load_config(args.config, overrides)
         # An out_dir that cannot be a directory fails here, before any run.
         os.makedirs(config.out_dir, exist_ok=True)

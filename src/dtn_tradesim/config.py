@@ -51,16 +51,16 @@ class StudyConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind = type(f.default)
+        for key, default in DEFAULTS.items():
+            value = getattr(self, key)
+            kind = type(default)
             if kind is float:
                 ok = _finite_number(value)
             else:
                 ok = isinstance(value, kind)
             if isinstance(value, bool) or not ok:
                 expected = "a finite number" if kind is float else kind.__name__
-                raise ConfigurationError(f"{f.name} must be {expected}, got {_shown(value)}")
+                raise ConfigurationError(f"{key} must be {expected}, got {_shown(value)}")
         if self.packet_count < 1:
             raise ConfigurationError(f"packet_count must be >= 1, got {_shown(self.packet_count)}")
         if self.run_count < 1:
@@ -94,31 +94,36 @@ class StudyConfig:
             )
 
 
-_DEFAULTS = {f.name: f.default for f in fields(StudyConfig)}
+# The key table: every config key and its default, in field order.  The type
+# check, value conversion, canonical rendering and the CLI flags all read it.
+DEFAULTS = {f.name: f.default for f in fields(StudyConfig)}
 
 
 def _convert(key: str, value: object, where: str = "") -> object:
     """Check the key and convert a string value to its field's default type."""
-    if key not in _DEFAULTS:
+    if key not in DEFAULTS:
         raise ConfigurationError(f"{where}unknown key {key!r}")
     if not isinstance(value, str):
         return value
     try:
-        return type(_DEFAULTS[key])(value)
+        return type(DEFAULTS[key])(value)
     except ValueError as exc:
         raise ConfigurationError(f"{where}bad value for {key}: {value!r} ({exc})") from exc
 
 
 def parse_config_file(path: str) -> dict[str, object]:
-    """Read a flat key=value file; blank lines and # comments are ignored.
+    """Read a flat key=value file; blank lines and whole-line # comments are ignored.
 
-    Every error message names the file as given, or by its repr when that is
-    not printable (a line break or a NUL), so the message stays one line.
+    The file is UTF-8, with or without a byte-order mark, and names each key
+    at most once.  Every error message names the file as given, or by its
+    repr when that is not printable (a line break or a NUL), so the message
+    stays one line.
     """
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     shown = path if path.isprintable() else repr(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in path, or not UTF-8
         raise ConfigurationError(f"cannot read config file {shown}: {exc}") from exc
@@ -130,6 +135,11 @@ def parse_config_file(path: str) -> dict[str, object]:
             raise ConfigurationError(f"{shown}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in first_line:
+            raise ConfigurationError(
+                f"{shown}:{lineno}: duplicate key {key!r} (first set on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         values[key] = _convert(key, value.strip(), f"{shown}:{lineno}: ")
     return values
 
@@ -151,16 +161,11 @@ def load_config(
 def config_lines(config: StudyConfig) -> list[str]:
     """Canonical key=value rendering of a resolved config.
 
-    Float keys render through float, so an int given for one (which
-    StudyConfig accepts) reads and hashes the same as its float spelling.
+    Each value renders through its default's type, so an int given for a
+    float key (which StudyConfig accepts) reads and hashes the same as its
+    float spelling.
     """
-    out = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if type(f.default) is float:
-            value = float(value)
-        out.append(f"{f.name}={value}")
-    return out
+    return [f"{key}={type(default)(getattr(config, key))}" for key, default in DEFAULTS.items()]
 
 
 def config_hash(config: StudyConfig) -> str:

@@ -24,10 +24,14 @@ class SwingWeights:
 
 @dataclass(frozen=True)
 class DecisionRow:
-    """One protocol's metric means, attribute values and score (MAVF)."""
+    """One protocol's percent-error mean, attribute values and score (MAVF).
+
+    The percent-error mean is kept because the practicality correction and
+    the rank's tie-break read it; the study's time means stay in
+    StudyReport.study_summary.
+    """
 
     percent_error_mean: float
-    transmission_time_mean: float
     v_percent_error: float
     v_transmission_time: float
     mavf: float
@@ -91,7 +95,6 @@ def build_table(
         v_tt = _value(transmission_time[p], tt_worst, tt_best)
         rows[p] = DecisionRow(
             percent_error_mean=percent_error[p],
-            transmission_time_mean=transmission_time[p],
             v_percent_error=v_pe,
             v_transmission_time=v_tt,
             mavf=mavf_score(v_pe, v_tt, weights),

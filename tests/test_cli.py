@@ -6,13 +6,15 @@ import itertools
 import math
 import os
 import random
+import re
 import warnings
 
 import pytest
 
 import dtn_tradesim.simulation as simulation
 import dtn_tradesim.study as study
-from dtn_tradesim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
+from dtn_tradesim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, build_parser, main
+from dtn_tradesim.config import StudyConfig, config_lines
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -43,6 +45,50 @@ def test_config_file_not_utf8_is_one_line_config_error(command, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: cannot read config file {path}: ")
     assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_config_file_with_byte_order_mark_loads(command, tmp_path, capsys):
+    path = tmp_path / "study.cfg"
+    out_dir = tmp_path / "bundle"
+    text = f"relay_count=4\nrun_count=2\npacket_count=5\nout_dir={out_dir}\n"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main([command, "--config", str(path)]) == EXIT_OK
+    if command == "validate":
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "ok"
+    else:
+        lines = (out_dir / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert "relay_count=4" in lines
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_key_given_twice_in_config_file_is_one_line_config_error(command, tmp_path, capsys):
+    path = tmp_path / "study.cfg"
+    out_dir = tmp_path / "bundle"
+    # Spacing around a key does not make it another key.
+    path.write_text(f"relay_count=4\nout_dir={out_dir}\n# again\n  relay_count = 6\n")
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: {path}:4: duplicate key 'relay_count' (first set on line 1)\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_flag_given_twice_takes_its_last_value():
+    args = build_parser().parse_args(["run", "--relays", "4", "--relay-count", "6"])
+    assert args.relay_count == "6"
+
+
+def test_run_help_shows_each_key_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    shown = re.findall(r"config key (\w+) \(default (\S+)\)", text)
+    assert [f"{key}={default}" for key, default in shown] == config_lines(StudyConfig())
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

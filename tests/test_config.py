@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from dtn_tradesim.config import StudyConfig, config_hash, config_lines, load_config
+from dtn_tradesim.config import (
+    StudyConfig,
+    config_hash,
+    config_lines,
+    load_config,
+    parse_config_file,
+)
 from dtn_tradesim.errors import ConfigurationError
 
 
@@ -150,14 +156,13 @@ def test_int_accepted_for_float_key():
 
 
 def test_readme_key_block_is_the_defaults(tmp_path):
-    """README's key=value block names every key with its default, in order."""
+    """README's key block, copied verbatim, loads as the defaults, every key in order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```\n((?:\w+=.*\n)+)```", readme)
+    blocks = re.findall(r"```\n((?:(?:#.*|\w+=.*)\n)+)```", readme)
     assert len(blocks) == 1
-    lines = [line.split("#", 1)[0].strip() for line in blocks[0].splitlines()]
-    assert [line.partition("=")[0] for line in lines] == [f.name for f in fields(StudyConfig)]
     path = tmp_path / "readme.cfg"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(blocks[0], encoding="utf-8")
+    assert list(parse_config_file(str(path))) == [f.name for f in fields(StudyConfig)]
     assert load_config(str(path)) == StudyConfig()
 
 

@@ -143,9 +143,9 @@ def test_rank_reference_case():
 def test_rank_tie_prefers_lower_percent_error():
     w = SwingWeights()
     rows = {
-        B: DecisionRow(percent_error_mean=60.0, transmission_time_mean=1.0,
+        B: DecisionRow(percent_error_mean=60.0,
                        v_percent_error=0.5, v_transmission_time=0.5, mavf=0.5),
-        D: DecisionRow(percent_error_mean=55.0, transmission_time_mean=2.0,
+        D: DecisionRow(percent_error_mean=55.0,
                        v_percent_error=0.5, v_transmission_time=0.5, mavf=0.5),
     }
     assert rank(DecisionTable(rows=rows, weights=w)) == [D, B]
